@@ -42,15 +42,41 @@ clipped to the reported region (``<= -1``), which keeps intermediate products
 small without affecting any reported coefficient.  Returned series are
 restricted to the all-negative box.
 
-Per-variable parity (a consequence of the sign-flip sums: even exponents for
-the embedded route, odd for the direct one) is asserted on every kept
-monomial, as is permutation symmetry of the extracted tables.
+Sign sums as parity projections.  All three routes go through one loop,
+`_cycle_sum`, which multiplies the factors at ``eps = 1`` only.  Every factor
+depends on ``eps`` only through the substitution ``z_v -> eps_v z_v``, which
+multiplies the monomial ``z^e`` by ``prod_v eps_v^{e_v}`` and does not move
+it.  So the sum over signs keeps a monomial, with weight ``2^n`` or
+``2^{n-1}``, when its exponents have the right parities, and removes it
+otherwise:
+
+* embedded ``= (-1)^{n-1}/2 *`` (the cycle sum at ``eps = 1``, keeping only
+  terms whose exponents are all even);
+* wangyang ``= -2^{n-1} *`` (the cycle sum at ``eps = 1``, keeping only terms
+  whose exponent is odd in every variable ``v >= 1``).  Variable 0 is not
+  projected, so the parity assertion below still checks it.
+
+This is exact for every truncation window: clipping acts per monomial and per
+variable, and the substitution never moves a monomial, so clipping and sign
+flips commute.  The wrong-parity terms of a variable are dropped when it is
+clipped.  That early drop is exact too, because no later factor touches the
+variable, and it is what keeps n = 5 cheap.
+
+Cost limit: the loop visits ``(n-1)!`` cycles (720 at n = 7, 5040 at n = 8),
+so the cycle routes accept only ``n <= 7`` (`MAX_CYCLE_N`) and raise
+``ValueError`` above it, before any cycle is enumerated.  The Fock-space
+oracle has no such limit.
+
+Per-variable parity (even exponents for the embedded route, odd for the direct
+one) is asserted on every kept monomial, as is permutation symmetry of the
+extracted tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from .affine import (
@@ -61,9 +87,13 @@ from .affine import (
     series_a_hat_bkp,
     series_a_hat_kp,
 )
-from .series import KernelKind, Series, expand_kernel
+from .fock import odd_tuples
+from .series import KernelKind, Series, _box_iter, expand_kernel
 
 Window = tuple[tuple[int, int], ...]
+
+# Largest n the cycle routes accept (see the module docstring).
+MAX_CYCLE_N = 7
 
 
 def cycle_orders(n: int):
@@ -101,30 +131,43 @@ def _negative_box(nvars: int, window: Window) -> dict:
     return {v: (window[v][0], -1) for v in range(nvars)}
 
 
-def _cycle_product(factors, order, window) -> Series:
-    """Multiply factors along the cycle, clipping completed variables."""
-    total = factors[0]
-    n = len(factors)
+def _keep_parity(series: Series, var: int, want: int | None) -> Series:
+    """Drop the terms whose exponent of ``z_var`` does not have parity
+    ``want`` (``None`` keeps every term)."""
+    if want is None:
+        return series
+    coeffs = {e: c for e, c in series.coeffs.items() if e[var] % 2 == want}
+    return Series(
+        series.nvars, series.window, coeffs, dict(series.markers), series.clipped
+    )
+
+
+def _cycle_sum(factor, n: int, window: Window, parity: tuple) -> Series:
+    """Sum over the ``(n-1)!`` cycles of the product of ``factor(a, b)`` over
+    the cycle steps ``a -> b``, on the all-negative box.
+
+    ``parity[v]`` (0, 1 or ``None``) is the exponent parity of ``z_v`` that is
+    kept.  A variable is clipped to ``<= -1`` and projected as soon as both
+    factors touching it are multiplied in.
+    """
+    if n > MAX_CYCLE_N:
+        raise ValueError(
+            f"n = {n} exceeds the cycle-formula limit n <= {MAX_CYCLE_N} "
+            "(the cost grows like (n-1)!)"
+        )
+    factor = cache(factor)  # each ordered pair recurs in many cycles
     lo = window[0][0]
-    for i in range(1, n):
-        total = total.mul(factors[i])
-        done = order[i]  # both incident factors are now included
-        total = total.clip({done: (lo, -1)})
-    return total.clip(_negative_box(total.nvars, window))
-
-
-def _sign_vectors(n: int, fix_first: bool):
-    if n == 0:
-        return ((),)
-    vecs = []
-    first_choices = (1,) if fix_first else (1, -1)
-    for mask in range(2 ** (n - 1)):
-        for f in first_choices:
-            eps = [f]
-            for k in range(n - 1):
-                eps.append(1 if (mask >> k) & 1 == 0 else -1)
-            vecs.append(tuple(eps))
-    return tuple(vecs)
+    total = Series.zero(n, window)
+    for order in cycle_orders(n):
+        pairs = cycle_pairs(order)
+        term = factor(*pairs[0])
+        for i in range(1, n):
+            term = term.mul(factor(*pairs[i]))
+            done = order[i]  # both incident factors are now included
+            term = _keep_parity(term.clip({done: (lo, -1)}), done, parity[done])
+        term = term.clip(_negative_box(n, window))
+        total = total.add(_keep_parity(term, 0, parity[0]))
+    return total
 
 
 def kp_npoint(
@@ -139,18 +182,11 @@ def kp_npoint(
     if n < 2:
         raise ValueError("the KP cycle formula needs n >= 2")
     window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
-    cache: dict = {}
 
     def factor(a, b):
-        if (a, b) not in cache:
-            cache[(a, b)] = series_a_hat_kp(kp, n, window, a, b)
-        return cache[(a, b)]
+        return series_a_hat_kp(kp, n, window, a, b)
 
-    total = Series.zero(n, window)
-    for order in cycle_orders(n):
-        pairs = cycle_pairs(order)
-        term = _cycle_product([factor(a, b) for a, b in pairs], order, window)
-        total = total.add(term)
+    total = _cycle_sum(factor, n, window, (None,) * n)
     if (n - 1) % 2 == 1:
         total = total.neg()
     if n == 2:
@@ -172,24 +208,12 @@ def embedded_npoint_series(
         raise ValueError("n must be >= 1")
     kp = bkp_to_kp(b)
     window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
-    cache: dict = {}
 
-    def factor(a, bb, eps):
-        key = (a, bb, eps[a], eps[bb])
-        if key not in cache:
-            cache[key] = series_a_hat_kp(kp, n, window, a, bb, eps[a], eps[bb])
-        return cache[key]
+    def factor(a, bb):
+        return series_a_hat_kp(kp, n, window, a, bb)
 
-    total = Series.zero(n, window)
-    for order in cycle_orders(n):
-        pairs = cycle_pairs(order)
-        for eps in _sign_vectors(n, fix_first=False):
-            term = _cycle_product(
-                [factor(a, bb, eps) for a, bb in pairs], order, window
-            )
-            total = total.add(term)
-    sign = -1 if (n - 1) % 2 == 1 else 1
-    total = total.scale(Fraction(sign, 2 ** (n + 1)))
+    total = _cycle_sum(factor, n, window, (0,) * n)
+    total = total.scale(Fraction((-1) ** (n - 1), 2))
     if n == 2:
         delta = expand_kernel(KernelKind.KP_DELTA, n, window, 0, 1)
         total = total.sub(delta.clip(_negative_box(n, window)))
@@ -210,34 +234,16 @@ def wangyang_npoint_series(
     if n < 1:
         raise ValueError("n must be >= 1")
     window = standard_window(n, max_weight, _b_degree(b), cap_scale, pos_cap)
-    cache: dict = {}
 
-    def factor(a, bb, eps):
-        key = (a, bb, eps[a], eps[bb])
-        if key not in cache:
-            if a == bb:
-                cache[key] = series_a_bkp(b, n, window, a, a, eps[a], -eps[a])
-            elif a < bb:
-                cache[key] = series_a_hat_bkp(
-                    b, n, window, a, bb, eps[a], -eps[bb]
-                )
-            else:
-                cache[key] = series_a_hat_bkp(
-                    b, n, window, bb, a, -eps[bb], eps[a]
-                ).neg()
-        return cache[key]
+    def factor(a, bb):
+        if a == bb:
+            return series_a_bkp(b, n, window, a, a, 1, -1)
+        if a < bb:
+            return series_a_hat_bkp(b, n, window, a, bb, 1, -1)
+        return series_a_hat_bkp(b, n, window, bb, a, -1, 1).neg()
 
-    total = Series.zero(n, window)
-    for order in cycle_orders(n):
-        pairs = cycle_pairs(order)
-        for eps in _sign_vectors(n, fix_first=True):
-            prod_sign = 1
-            for e in eps[1:]:
-                prod_sign *= e
-            term = _cycle_product(
-                [factor(a, bb, eps) for a, bb in pairs], order, window
-            )
-            total = total.add(term.scale(-prod_sign))
+    total = _cycle_sum(factor, n, window, (None,) + (1,) * (n - 1))
+    total = total.scale(-(2 ** (n - 1)))
     if n == 2:
         delta = expand_kernel(KernelKind.BKP_DELTA, n, window, 0, 1)
         total = total.sub(delta.clip(_negative_box(n, window)))
@@ -258,27 +264,13 @@ def _assert_parity(series: Series, even: bool) -> None:
 # -- tables ------------------------------------------------------------------
 
 
-def _all_tuples(n, max_weight, step):
-    def rec(prefix, lo, rem):
-        if len(prefix) == n:
-            yield prefix
-            return
-        needed_after = n - len(prefix) - 1
-        idx = lo
-        while idx * (needed_after + 1) <= rem:
-            yield from rec(prefix + (idx,), idx, rem - idx)
-            idx += step
-
-    yield from rec((), 1, max_weight)
-
-
 def npoint_table(series: Series, n: int, max_weight: int, *, index_shift: int,
                  odd_only: bool = True) -> dict:
     """Read the n-point values off a series: ``key -> coeff`` at
     ``exps = (-i_1 - shift, ...)``; asserts permutation symmetry."""
     out: dict = {}
     step = 2 if odd_only else 1
-    for key in _all_tuples(n, max_weight, step):
+    for key in odd_tuples(n, max_weight, step):
         exps = tuple(-i - index_shift for i in key)
         value = series.coefficient(exps)
         for perm in set(permutations(exps)):
@@ -320,19 +312,8 @@ def compare_formulas(
     shifted = emb.shift((1,) * n)
     lo = -(max_weight + 1)
     raw = True
-    for exps in _box(n, lo, -1):
+    for exps in _box_iter(((lo, -1),) * n):
         if shifted.coefficient(exps) != wy.coefficient(exps):
             raw = False
             break
     return FormulaComparison(n, max_weight, t_emb, t_wy, agree, raw, first)
-
-
-def _box(nvars, lo, hi):
-    def rec(prefix):
-        if len(prefix) == nvars:
-            yield prefix
-            return
-        for e in range(lo, hi + 1):
-            yield from rec(prefix + (e,))
-
-    yield from rec(())

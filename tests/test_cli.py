@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bkpnpoint import cli
+from bkpnpoint import cli, npoint
 from bkpnpoint.cli import main
 
 
@@ -107,6 +107,28 @@ def test_npoint_input_errors(capsys, tmp_path, one_entry_coords):
     assert main(["npoint", "--coords", conflict, "--n", "1",
                  "--max-weight", "3"]) == 2
     capsys.readouterr()
+
+
+def test_npoint_large_n_refused_up_front(capsys, one_entry_coords, monkeypatch):
+    # the limit is checked before any of the (n-1)! cycles is enumerated
+    def enumerate_cycles(n):
+        raise AssertionError(f"cycle_orders({n}) called")
+
+    monkeypatch.setattr(npoint, "cycle_orders", enumerate_cycles)
+    code = main(["npoint", "--coords", one_entry_coords, "--n", "12",
+                 "--max-weight", "12"])
+    assert code == 2
+    assert "n <= 7" in capsys.readouterr().err
+
+
+def test_npoint_oracle_has_no_cycle_limit(capsys, one_entry_coords):
+    code, doc = run_json(capsys, [
+        "npoint", "--coords", one_entry_coords, "--n", "8",
+        "--max-weight", "10", "--formula", "oracle",
+    ])
+    assert code == 0
+    indices = [r["indices"] for r in doc["tables"]["oracle"]]
+    assert indices == [[1] * 8, [1] * 7 + [3]]
 
 
 def test_npoint_disagreement_exit_code(capsys, one_entry_coords, monkeypatch):

@@ -1,10 +1,20 @@
 """Closed cycle-sum formulas for connected n-point functions."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
-from bkpnpoint.affine import AffineB, AffineKP, bkp_to_kp, validate_b
+from bkpnpoint.affine import (
+    AffineB,
+    AffineKP,
+    bkp_to_kp,
+    series_a_bkp,
+    series_a_hat_bkp,
+    series_a_hat_kp,
+    validate_b,
+)
 from bkpnpoint.fock import (
     connected_table_from_log,
     oracle_npoint_table,
@@ -12,9 +22,13 @@ from bkpnpoint.fock import (
     tau_coefficients_kp,
 )
 from bkpnpoint.npoint import (
+    MAX_CYCLE_N,
     FormulaComparison,
+    _b_degree,
+    _kp_degree,
     compare_formulas,
     cycle_orders,
+    cycle_pairs,
     embedded_npoint_series,
     kp_npoint,
     npoint_table,
@@ -22,7 +36,7 @@ from bkpnpoint.npoint import (
     wangyang_npoint_series,
 )
 from bkpnpoint.sampling import random_affine_b
-from bkpnpoint.series import Series
+from bkpnpoint.series import KernelKind, Series, expand_kernel
 
 F = Fraction
 
@@ -134,3 +148,94 @@ def test_table_symmetry_assertion_fires():
     bad = Series(2, ((-5, 0), (-5, 0)), {(-1, -3): F(1), (-3, -1): F(2)})
     with pytest.raises(ArithmeticError, match="symmetric"):
         npoint_table(bad, 2, 4, index_shift=0)
+
+
+# -- the literal sign-vector sum, kept as a reference ------------------------
+
+
+def _sign_sum_reference(route, b, n, max_weight, **window_args):
+    """Either BKP route as the literal sum over cycles and sign vectors.
+
+    ``route`` is ``"embedded"`` or ``"wangyang"``; ``window_args`` are passed
+    to `standard_window`.  Each cycle product is clipped to the all-negative
+    box only at the end, which is exact because every variable's exponent is
+    final once both of its factors are in.
+    """
+    kp = bkp_to_kp(b)
+    degree = _kp_degree(kp) if route == "embedded" else _b_degree(b)
+    window = standard_window(n, max_weight, degree, **window_args)
+    box = {v: (window[v][0], -1) for v in range(n)}
+
+    def factor(a, c, eps):
+        if route == "embedded":
+            return series_a_hat_kp(kp, n, window, a, c, eps[a], eps[c])
+        if a == c:
+            return series_a_bkp(b, n, window, a, a, eps[a], -eps[a])
+        if a < c:
+            return series_a_hat_bkp(b, n, window, a, c, eps[a], -eps[c])
+        return series_a_hat_bkp(b, n, window, c, a, -eps[c], eps[a]).neg()
+
+    if route == "embedded":
+        signs = list(product((1, -1), repeat=n))
+    else:
+        signs = [(1,) + rest for rest in product((1, -1), repeat=n - 1)]
+    total = Series.zero(n, window)
+    for order in cycle_orders(n):
+        for eps in signs:
+            term = None
+            for a, c in cycle_pairs(order):
+                f = factor(a, c, eps)
+                term = f if term is None else term.mul(f)
+            weight = 1 if route == "embedded" else -prod(eps[1:])
+            total = total.add(term.clip(box).scale(weight))
+    if route == "embedded":
+        total = total.scale(F((-1) ** (n - 1), 2 ** (n + 1)))
+        delta_kind = KernelKind.KP_DELTA
+    else:
+        delta_kind = KernelKind.BKP_DELTA
+    if n == 2:
+        delta = expand_kernel(delta_kind, n, window, 0, 1)
+        total = total.sub(delta.clip(box))
+    return total.clip(box)
+
+
+ROUTES = {
+    "embedded": embedded_npoint_series,
+    "wangyang": wangyang_npoint_series,
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("seed, window_args", [
+    (0, {}), (3, {}), (5, {}), (8, {}),
+    (2, {"cap_scale": 2}),
+    # caps below the standard one: the projection is exact for every window
+    (1, {"pos_cap": 3}), (1, {"pos_cap": 12}),
+])
+def test_routes_equal_sign_sum_reference(route, seed, window_args):
+    b = random_affine_b(seed)
+    for n in (1, 2, 3):
+        got = ROUTES[route](b, n, 7, **window_args)
+        want = _sign_sum_reference(route, b, n, 7, **window_args)
+        assert got.coeffs == want.coeffs
+        assert got.window == want.window
+
+
+@pytest.mark.parametrize("seed, n, max_weight", [(0, 5, 9), (3, 5, 9), (0, 6, 7)])
+def test_routes_match_oracle_at_larger_n(seed, n, max_weight):
+    b = random_affine_b(seed)
+    wy = wangyang_npoint_series(b, n, max_weight)
+    emb = embedded_npoint_series(b, n, max_weight)
+    table = npoint_table(wy, n, max_weight, index_shift=0)
+    assert any(table.values())
+    assert table == npoint_table(emb, n, max_weight, index_shift=1)
+    assert table == oracle_npoint_table(b, n, max_weight)
+
+
+def test_cycle_routes_refuse_large_n():
+    n = MAX_CYCLE_N + 1
+    for route in (embedded_npoint_series, wangyang_npoint_series):
+        with pytest.raises(ValueError, match=f"n <= {MAX_CYCLE_N}"):
+            route(AffineB(), n, n)
+    with pytest.raises(ValueError, match=f"n <= {MAX_CYCLE_N}"):
+        kp_npoint(AffineKP(), n, n)
