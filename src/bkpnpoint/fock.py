@@ -33,6 +33,35 @@ The energy cutoff needed for weight-``W`` tau coefficients exceeds ``W``:
 contributing intermediate states satisfy ``E = W_remaining + charge/2`` with
 ``E >= charge^2/2``, so ``cutoff2 = 2W + margin2`` with ``margin2`` the
 largest even ``c`` such that ``c(c-1) <= 2W``.
+
+``H^B_k`` on a basis state visits only the ``i`` that meet a hole ``h`` or a
+bubble ``b`` of it: ``i`` in ``{-(h+1)/2, (h+1)/2 - k}`` or
+``{(b+1)/2, -(b+1)/2 - k}``.  No other ``i`` acts, because each of the four
+mode families of ``phi_i phi_{-i-k}`` needs a hole (a positive mode
+inserted) or a bubble (a negative mode removed), for every ``i`` and
+``k >= 1``.  The two modes of a family are ``-2i-1`` or ``2i-1`` (low) and
+``2(i+k)-1`` or ``-2(i+k)-1`` (high), applied high first:
+
+* insert low, insert high: the doubled indices sum to ``2k-2 >= 0``, so one
+  of them is positive and must hit a hole;
+* insert low, remove high: a negative high must be a bubble; a positive
+  high means ``i <= -k-1``, so low is positive and must be a hole;
+* remove low, insert high: a positive high must be a hole; a negative high
+  means ``i <= -k``, so low is negative and must be a bubble;
+* remove low, remove high: the indices sum to ``-2k-2 < 0``; a negative high
+  must be a bubble, otherwise low is negative and must be one.
+
+The hole or bubble is always one of the starting state: an insert never
+creates a hole, a remove never creates a bubble, and in the two mixed
+families low and high differ by ``2k``.
+
+``tau_table`` walks the monomials depth first on integers.  The start
+vector is scaled by the common denominator ``den`` of its coefficients, and
+``H_k |state>`` (``H^B_k |state>``) is computed once per ``(state, k)`` as
+integer coefficients in units of 1 (of 1/4).  After ``d`` applications
+the integers carry the factor ``den * unit^d`` (``unit`` 1 or 4), so a
+vacuum coefficient ``v`` reached by an index multiset with multiplicities
+``m_j`` is the monomial coefficient ``v / (den * unit^d * prod m_j!)``.
 """
 
 from __future__ import annotations
@@ -40,7 +69,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt, lcm
 
 from .affine import AffineB, AffineKP, bkp_to_kp
 
@@ -201,21 +230,30 @@ def apply_h_kp(k: int, vec: dict) -> dict:
 
 
 def apply_h_b(k: int, vec: dict) -> dict:
-    """``H^B_k`` for ``k >= 1``; never raises energy, mixes charge by 0, +-2."""
+    """``H^B_k`` for ``k >= 1``; never raises energy, mixes charge by 0, +-2.
+
+    Only the mode indices ``i`` that meet a hole or a bubble of the state
+    are visited (see the module docstring for why no other ``i`` acts).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     out: dict = {}
-    quarter = Fraction(1, 4)
+    # (-1) ** negative int is a float in Python; use parities
+    s_k = 1 if k % 2 == 0 else -1
     for state, c in vec.items():
-        e2 = energy2(state)
-        imax = e2 // 2 + k + 2
         bubbles, holes = state
-        for i in range(-imax, imax + 1):
-            # (-1) ** negative int is a float in Python; use parities
-            base = -quarter if i % 2 == 0 else quarter          # (-1)^(i-1)/4
+        candidates = set()
+        for h in holes:
+            candidates.add(-(h + 1) // 2)
+            candidates.add((h + 1) // 2 - k)
+        for b in bubbles:
+            candidates.add((b + 1) // 2)
+            candidates.add(-(b + 1) // 2 - k)
+        quarters: dict = {}  # new state -> coefficient in units of 1/4
+        for i in sorted(candidates):
+            base = -1 if i % 2 == 0 else 1                      # (-1)^(i-1)
             s_i = 1 if i % 2 == 0 else -1
             s_ik = 1 if (i + k) % 2 == 0 else -1
-            s_k = 1 if k % 2 == 0 else -1
             lo_ins, lo_rem = -2 * i - 1, 2 * i - 1
             hi_ins, hi_rem = 2 * (i + k) - 1, -2 * (i + k) - 1
             for ops, fam_sign in (
@@ -228,7 +266,10 @@ def apply_h_b(k: int, vec: dict) -> dict:
                 if res is None:
                     continue
                 new, sign = res
-                val = c * base * fam_sign * sign
+                quarters[new] = quarters.get(new, 0) + base * fam_sign * sign
+        for new, q in quarters.items():
+            if q:
+                val = c * Fraction(q, 4)
                 prev = out.get(new)
                 out[new] = val if prev is None else prev + val
     return {s: c for s, c in out.items() if c != 0}
@@ -285,8 +326,6 @@ def exp_bilinear_vacuum(ops, cutoff2: int) -> FockVector:
 
 
 def _isqrt(n: int) -> int:
-    from math import isqrt
-
     return isqrt(max(0, n))
 
 
@@ -338,43 +377,63 @@ def tau_table(vec: FockVector, hamiltonian: str, max_weight: int, odd_only: bool
     weight ``<= max_weight`` (odd indices only when ``odd_only``).  The
     Hamiltonians commute, so each monomial is read off one descending
     application chain; charged states that can no longer reach the vacuum
-    within the remaining weight are pruned.
+    within the remaining weight are pruned.  The chain runs on integers:
+    each ``(state, k)`` is sent through ``apply_h`` once and its image is
+    kept as ``(new state, need2, coefficient in units of 1/unit)``, where
+    ``need2 = E2 - charge`` is twice the weight the new state still needs to
+    reach the vacuum.
     """
     apply_h = {"kp": apply_h_kp, "b": apply_h_b}[hamiltonian]
-    if hamiltonian == "kp":
-        start = {s: c for s, c in vec.coeffs.items() if charge(s) == 0}
-    else:
-        start = dict(vec.coeffs)
-    start = _prune(start, max_weight)
+    unit = 4 if hamiltonian == "b" else 1
+    start = {
+        s: c
+        for s, c in vec.coeffs.items()
+        if energy2(s) - charge(s) <= 2 * max_weight
+        and (hamiltonian == "b" or charge(s) == 0)
+    }
+    den = lcm(*(c.denominator for c in start.values()))
+    interned: dict = {}
+    moves: dict = {}
+
+    def step(state, idx: int):
+        """``H_idx |state>`` as ``((new, need2, int), ...)``, computed once."""
+        image = moves.get((state, idx))
+        if image is None:
+            image = []
+            # H^B_k coefficients are quarters, H_k coefficients are +-1
+            for new, c in apply_h(idx, {state: ONE}).items():
+                new = interned.setdefault(new, new)
+                image.append((new, energy2(new) - charge(new), int(c * unit)))
+            image = moves[(state, idx)] = tuple(image)
+        return image
+
     out: dict = {}
 
-    def visit(v: dict, prefix: tuple):
-        value = v.get(VACUUM, ZERO)
+    def visit(v: dict, prefix: tuple, scale: int):
+        value = v.get(VACUUM, 0)
         if value != 0:
             key = tuple(sorted(prefix))
-            mult = ONE
+            mult = 1
             for idx in set(prefix):
                 mult *= factorial(prefix.count(idx))
-            out[key] = value / mult
+            out[key] = Fraction(value, scale * mult)
         rem = max_weight - sum(prefix)
         top = min(prefix[-1] if prefix else max_weight, rem)
         for idx in range(top, 0, -1):
             if odd_only and idx % 2 == 0:
                 continue
-            nxt = _prune(apply_h(idx, v), rem - idx)
+            budget = 2 * (rem - idx)
+            nxt: dict = {}
+            for state, c in v.items():
+                for new, need2, k in step(state, idx):
+                    if need2 <= budget:
+                        nxt[new] = nxt.get(new, 0) + c * k
+            nxt = {s: c for s, c in nxt.items() if c != 0}
             if nxt:
-                visit(nxt, prefix + (idx,))
+                visit(nxt, prefix + (idx,), scale * unit)
 
-    visit(start, ())
+    visit({s: c.numerator * (den // c.denominator) for s, c in start.items()}, (), den)
     return out
-
-
-def _prune(vec: dict, remaining_weight: int) -> dict:
-    return {
-        s: c
-        for s, c in vec.items()
-        if energy2(s) <= 2 * remaining_weight + charge(s)
-    }
 
 
 def tau_coefficients_bkp(b: AffineB, max_weight: int, cutoff_bump: int = 0):

@@ -240,14 +240,6 @@ def series_equal_on(a: Series, b: Series, box: Window) -> bool:
     return True
 
 
-def first_box_difference(a: Series, b: Series, box: Window):
-    for e in _box_iter(box):
-        ca, cb = a.coefficient(e), b.coefficient(e)
-        if ca != cb:
-            return e, ca, cb
-    return None
-
-
 def _box_iter(box: Window):
     if not box:
         yield ()

@@ -1,6 +1,7 @@
 """Free-fermion oracle: mode algebra, Hamiltonians, tau coefficients."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from bkpnpoint.fock import (
     poly_log,
     poly_mul,
     psi_generator_embedded,
+    psi_generator_kp,
     psi_psi_star,
     tau_coefficients_bkp,
     tau_coefficients_kp,
@@ -212,3 +214,99 @@ def test_poly_mul_merges_and_truncates():
     p = {(1,): F(2), (): F(1)}
     assert poly_mul(p, p, 2) == {(): F(1), (1,): F(4), (1, 1): F(4)}
     assert poly_mul(p, p, 1) == {(): F(1), (1,): F(4)}
+
+
+# -- test-only references: the operator scan and the Fraction-vector DFS ----
+
+
+def _scan_apply_h_b(k, vec):
+    """``H^B_k`` scanning every ``|i| <= E2/2 + k + 2``, four families each."""
+    out = {}
+    quarter = F(1, 4)
+    for state, c in vec.items():
+        imax = energy2(state) // 2 + k + 2
+        for i in range(-imax, imax + 1):
+            base = -quarter if i % 2 == 0 else quarter
+            s_i = 1 if i % 2 == 0 else -1
+            s_ik = 1 if (i + k) % 2 == 0 else -1
+            s_k = 1 if k % 2 == 0 else -1
+            lo_ins, lo_rem = -2 * i - 1, 2 * i - 1
+            hi_ins, hi_rem = 2 * (i + k) - 1, -2 * (i + k) - 1
+            for ops, fam_sign in (
+                ((("+", lo_ins), ("+", hi_ins)), 1),
+                ((("+", lo_ins), ("-", hi_rem)), s_ik),
+                ((("-", lo_rem), ("+", hi_ins)), s_i),
+                ((("-", lo_rem), ("-", hi_rem)), s_k),
+            ):
+                res = apply_mode_ops(state, ops)
+                if res is None:
+                    continue
+                new, sign = res
+                out[new] = out.get(new, F(0)) + c * base * fam_sign * sign
+    return {s: c for s, c in out.items() if c != 0}
+
+
+def _vector_tau_table(vec, hamiltonian, max_weight, odd_only):
+    """Descending DFS applying the Hamiltonian to whole ``Fraction`` vectors."""
+    apply_h = {"kp": apply_h_kp, "b": _scan_apply_h_b}[hamiltonian]
+
+    def prune(v, rem):
+        return {s: c for s, c in v.items() if energy2(s) <= 2 * rem + charge(s)}
+
+    start = {
+        s: c for s, c in vec.coeffs.items() if hamiltonian == "b" or charge(s) == 0
+    }
+    out = {}
+
+    def visit(v, prefix):
+        value = v.get(VACUUM, F(0))
+        if value != 0:
+            mult = 1
+            for idx in set(prefix):
+                mult *= factorial(prefix.count(idx))
+            out[tuple(sorted(prefix))] = value / mult
+        rem = max_weight - sum(prefix)
+        for idx in range(min(prefix[-1] if prefix else rem, rem), 0, -1):
+            if odd_only and idx % 2 == 0:
+                continue
+            nxt = prune(apply_h(idx, v), rem - idx)
+            if nxt:
+                visit(nxt, prefix + (idx,))
+
+    visit(prune(start, max_weight), ())
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_h_b_matches_scan_on_oracle_states(seed):
+    b = random_affine_b(seed)
+    vec = exp_bilinear_vacuum(phi_phi_generator(b), needed_cutoff2(13))
+    assert len(vec.coeffs) > 1
+    for state in vec.coeffs:
+        for k in range(1, 16):
+            assert apply_h_b(k, {state: F(1)}) == _scan_apply_h_b(
+                k, {state: F(1)}
+            ), (state, k)
+    for k in (1, 2, 5):
+        assert apply_h_b(k, vec.coeffs) == _scan_apply_h_b(k, vec.coeffs), k
+
+
+@settings(deadline=None, max_examples=150)
+@given(_states, st.integers(1, 15), st.fractions(max_denominator=9))
+def test_apply_h_b_matches_scan_on_random_states(state, k, c):
+    assert apply_h_b(k, {state: c}) == _scan_apply_h_b(k, {state: c})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tau_table_matches_vector_reference(seed):
+    b = random_affine_b(seed)
+    for w in (6, 11):
+        vec = exp_bilinear_vacuum(phi_phi_generator(b), needed_cutoff2(w))
+        got = tau_table(vec, "b", w, odd_only=True)
+        assert got == _vector_tau_table(vec, "b", w, odd_only=True), w
+        assert got[()] == 1
+        vec = exp_bilinear_vacuum(psi_generator_kp(bkp_to_kp(b)), 2 * w)
+        for odd_only in (True, False):
+            assert tau_table(vec, "kp", w, odd_only) == _vector_tau_table(
+                vec, "kp", w, odd_only
+            ), (w, odd_only)

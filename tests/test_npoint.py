@@ -232,6 +232,14 @@ def test_routes_match_oracle_at_larger_n(seed, n, max_weight):
     assert table == oracle_npoint_table(b, n, max_weight)
 
 
+def test_oracle_matches_wangyang_on_dense_instance_at_weight_15():
+    # depth-15 chains scale the oracle's integers by up to 4^15
+    b = random_affine_b(7, max_index=6, density=0.6)
+    table = npoint_table(wangyang_npoint_series(b, 2, 15), 2, 15, index_shift=0)
+    assert any(table.values())
+    assert oracle_npoint_table(b, 2, 15) == table
+
+
 def test_cycle_routes_refuse_large_n():
     n = MAX_CYCLE_N + 1
     for route in (embedded_npoint_series, wangyang_npoint_series):
