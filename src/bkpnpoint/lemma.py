@@ -25,19 +25,54 @@ the returned sides only propagates factor-level events (spec entries or
 t*t products falling outside a narrow window); kernel expansions are
 window-exact by construction.
 
-``lemma_side("RHS", ...)`` includes the 2^k prefactor.  Both sides are
-antisymmetric under swapping every x_j with y_j up to the factor (-1)^k,
-which the evaluator uses to halve the sign enumeration.
+``lemma_side("RHS", ...)`` includes the 2^k prefactor.
+
+Contraction.  Both sides come from one exact engine, `_contract`.
+
+* Box keys.  With W the window and B = 2W + 1, the monomial with exponents
+  e_0, ..., e_{2k-1} (all in [-W, W]) has the integer key
+  sum_p (e_p + W) B^(2k-1-p): its digits in base B are the shifted exponents,
+  position 0 most significant.  Each digit lies in [0, 2W], below B, so the
+  key determines the tuple, and comparing two keys compares their digits
+  from the most significant down: the numeric order of keys is the
+  lexicographic order of the tuples.  A factor term keys its two positions
+  only.  The factors of one chain occupy pairwise disjoint positions that
+  together cover all 2k, so the key of a product is the sum of its factors'
+  keys and each digit of that sum is one factor's shifted exponent (no
+  carry).  Coefficients are integers over the lcm of every factor
+  denominator, so a k-factor product is an integer over its k-th power.
+* Subset DP.  The sum over sigma and eps is a sum over closed chains
+  1 -> j_2 -> ... -> j_k -> 1 that visit every index once, each index j with
+  its sign eps_j.  The step entering j carries eps_j, and every index is
+  entered exactly once (index 1 by the closing step), so the sign
+  prod eps_j is folded into the factors.  The factors still to come depend
+  only on the visited set, the last index j, eps_j and eps_1.  So for each
+  eps_1 the engine keeps one dict from partial key to integer per state
+  (visited set, j, eps_j), and extends the sum of all chains reaching a
+  state once, by the next factor; closing multiplies by the factor back to
+  index 1.  By distributivity this equals the sum of the chain products,
+  term for term.
+
+`first_lemma_difference` contracts the LHS with scale +1 and the RHS with
+scale -2^k into one dict and decodes only its smallest nonzero key; the two
+sides are built as Series only when they differ.
+
+Cost limit.  Before any factor is built, one factor's terms are bounded from
+the spec: the kernel pieces lie on the anti-diagonal e_a + e_b = 0 (at most
+W + 1 terms), the s and t(a) t(b) pieces in the block [-m, -1]^2 with
+m = min(max index, W), and the lone t pieces on the two axes.  The check is
+refused with ``ValueError`` when (k-1)! 2^k F^k, the number of chain
+products of the plain enumeration with F terms per factor, exceeds
+`MAX_LEMMA_PRODUCTS`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 from typing import Dict, Optional, Tuple
 
 from .affine import AffineB
-from .npoint import cycle_orders
 from .series import (
     KernelKind,
     Series,
@@ -218,9 +253,94 @@ def _factor_table(which: str, k: int, spec: SeriesPairSpec, window: Window):
     return table
 
 
-def _swap_flavors(coeffs: dict, nvars: int) -> dict:
-    # Exchange x_j and y_j exponents (position p maps to p ^ 1).
-    return {tuple(e[p ^ 1] for p in range(nvars)): c for e, c in coeffs.items()}
+# Largest estimate of chain products a lemma check takes on (see the module
+# docstring).  The largest among random_series_pair_spec seeds 0-39 at
+# k = 4, window 6 is 1.25e7 (F = 19).
+MAX_LEMMA_PRODUCTS = 2 * 10**7
+
+
+def _factor_terms(spec: SeriesPairSpec, window: int) -> int:
+    """Upper bound on the terms of one f or g factor (module docstring)."""
+    m = min(spec.max_index, window)
+    s, t = len(spec.s_entries), len(spec.t_entries)
+    f_terms = window + 1 + min(m * m, 2 * s) + 2 * t
+    g_terms = window + 1 + min(m * m, 2 * s + t * t) + t
+    return max(f_terms, g_terms)
+
+
+def _validate(k: int, spec: SeriesPairSpec, window: int) -> None:
+    if not 1 <= k <= 4:
+        raise ValueError("k must be between 1 and 4")
+    if window < 0:
+        raise ValueError("window must be nonnegative")
+    terms = _factor_terms(spec, window)
+    products = factorial(k - 1) * 2 ** k * terms ** k
+    if products > MAX_LEMMA_PRODUCTS:
+        raise ValueError(
+            f"lemma check at k = {k}, window {window} would form about "
+            f"{products} chain products ({terms} terms per factor), above "
+            f"the limit of {MAX_LEMMA_PRODUCTS}"
+        )
+
+
+def _denominator(table) -> int:
+    return lcm(1, *(c.denominator for fac in table.values()
+                    for c in fac.coeffs.values()))
+
+
+def _contract(table, k: int, window: int, common: int, scale: int,
+              acc: Dict[int, int]) -> None:
+    """Add ``scale * common^k`` times the side whose factors are ``table``
+    into ``acc``, keyed by box keys (see the module docstring)."""
+    nvars = 2 * k
+    weight = [(2 * window + 1) ** (nvars - 1 - p) for p in range(nvars)]
+    # Indices are 0-based from here on; each factor is a list of
+    # (key, integer) items and carries the sign of the index it enters.
+    factors = {}
+    for (j1, j2, e1, e2), fac in table.items():
+        pa = 2 * (j1 - 1) + (1 if e1 == 1 else 0)
+        pb = 2 * (j2 - 1) + (0 if e2 == 1 else 1)
+        wa, wb = weight[pa], weight[pb]
+        factors[j1 - 1, j2 - 1, e1, e2] = [
+            ((e[pa] + window) * wa + (e[pb] + window) * wb,
+             e2 * c.numerator * (common // c.denominator))
+            for e, c in fac.coeffs.items()
+        ]
+    for e0 in (1, -1):
+        layer = {(1, 0, e0): {0: scale}}
+        for _ in range(k - 1):
+            grown: dict = {}
+            for (seen, j, ej), partial in layer.items():
+                for j2 in range(1, k):
+                    if seen >> j2 & 1:
+                        continue
+                    for e2 in (1, -1):
+                        state = (seen | 1 << j2, j2, e2)
+                        _extend(grown.setdefault(state, {}), partial,
+                                factors[j, j2, ej, e2])
+            layer = grown
+        for (_, j, ej), partial in layer.items():
+            _extend(acc, partial, factors[j, 0, ej, e0])
+
+
+def _extend(out: Dict[int, int], partial: Dict[int, int], factor) -> None:
+    # out += partial * factor: keys add, values multiply.
+    for fkey, c in factor:
+        for key, v in partial.items():
+            key += fkey
+            if key in out:
+                out[key] += v * c
+            else:
+                out[key] = v * c
+
+
+def _decode(key: int, k: int, window: int) -> tuple:
+    base = 2 * window + 1
+    exps = []
+    for _ in range(2 * k):
+        key, digit = divmod(key, base)
+        exps.append(digit - window)
+    return tuple(reversed(exps))
 
 
 def lemma_side(which: str, k: int, spec: SeriesPairSpec,
@@ -232,10 +352,7 @@ def lemma_side(which: str, k: int, spec: SeriesPairSpec,
     """
     if which not in ("LHS", "RHS"):
         raise ValueError(f"side must be LHS or RHS, got {which!r}")
-    if not 1 <= k <= 4:
-        raise ValueError("k must be between 1 and 4")
-    if window < 0:
-        raise ValueError("window must be nonnegative")
+    _validate(k, spec, window)
     nvars = 2 * k
     win = uniform_window(nvars, -window, window)
     factors = _factor_table(which, k, spec, win)
@@ -245,63 +362,13 @@ def lemma_side(which: str, k: int, spec: SeriesPairSpec,
         for pair, dom in fac.markers.items():
             markers[pair] = dom  # index-keyed dominance cannot conflict
         clipped = clipped or fac.clipped
-
-    # Compact view of each factor: its two variable positions plus the
-    # bivariate items with integer numerators over a common denominator
-    # (everything else in an exponent key is zero).
-    compact = {}
-    common = 1
-    for (j1, j2, e1, e2), fac in factors.items():
-        pa = 2 * (j1 - 1) + (1 if e1 == 1 else 0)
-        pb = 2 * (j2 - 1) + (0 if e2 == 1 else 1)
-        den = lcm(*(c.denominator for c in fac.coeffs.values()), 1)
-        items = [(e[pa], e[pb], int(c * den)) for e, c in fac.coeffs.items()]
-        compact[j1, j2, e1, e2] = (pa, pb, items, den)
-        common = lcm(common, den)
-    # Every chain denominator divides scale_den, so the hot loop runs on
-    # plain integers scaled by it.
-    scale_den = common ** k
-
-    # Sum over sign vectors with eps_1 = +1 only; flipping every sign maps
-    # a term to its x<->y flavor swap times (-1)^k, so the other half is
-    # recovered by symmetrization below.  Every product assembles exponents
-    # by direct assignment: the chain factors occupy pairwise disjoint
-    # positions, so box truncation of the factors is already exact.
-    half: Dict[tuple, int] = {}
-    for order in cycle_orders(k):
-        for eps in product((1,), *((1, -1),) * (k - 1)):
-            sign = 1
-            for e in eps:
-                sign *= e
-            chain = [
-                compact[order[i] + 1, order[(i + 1) % k] + 1,
-                        eps[order[i]], eps[order[(i + 1) % k]]]
-                for i in range(k)
-            ]
-            if not all(items for _, _, items, _ in chain):
-                continue
-            term_den = 1
-            for _, _, _, den in chain:
-                term_den *= den
-            base = sign * (scale_den // term_den)
-            positions = [(pa, pb) for pa, pb, _, _ in chain]
-            get = half.get
-            for combo in product(*(items for _, _, items, _ in chain)):
-                exps = [0] * nvars
-                value = base
-                for (pa, pb), (ea, eb, c) in zip(positions, combo):
-                    exps[pa] = ea
-                    exps[pb] = eb
-                    value *= c
-                key = tuple(exps)
-                half[key] = get(key, 0) + value
-    flip = 1 if k % 2 == 0 else -1
-    total = dict(half)
-    for key, value in _swap_flavors(half, nvars).items():
-        total[key] = total.get(key, 0) + flip * value
-    out_num = 2 ** k if which == "RHS" else 1
-    coeffs = {key: Fraction(v * out_num, scale_den)
-              for key, v in total.items() if v}
+    common = _denominator(factors)
+    acc: Dict[int, int] = {}
+    _contract(factors, k, window, common, 2 ** k if which == "RHS" else 1,
+              acc)
+    den = common ** k
+    coeffs = {_decode(key, k, window): Fraction(v, den)
+              for key, v in acc.items() if v}
     return Series(nvars, win, coeffs, markers, clipped)
 
 
@@ -314,13 +381,20 @@ def first_lemma_difference(
     k: int, spec: SeriesPairSpec, window: int = 6
 ) -> Optional[Tuple[tuple, Fraction, Fraction]]:
     """Smallest differing monomial between the two sides, or None."""
-    lhs = lemma_side("LHS", k, spec, window)
-    rhs = lemma_side("RHS", k, spec, window)
-    diff = lhs.sub(rhs)
-    if not diff.coeffs:
+    _validate(k, spec, window)
+    win = uniform_window(2 * k, -window, window)
+    lhs = _factor_table("LHS", k, spec, win)
+    rhs = _factor_table("RHS", k, spec, win)
+    common = lcm(_denominator(lhs), _denominator(rhs))
+    acc: Dict[int, int] = {}
+    _contract(lhs, k, window, common, 1, acc)
+    _contract(rhs, k, window, common, -(2 ** k), acc)
+    first = min((key for key, v in acc.items() if v), default=None)
+    if first is None:
         return None
-    exps = min(diff.coeffs)
-    return exps, lhs.coefficient(exps), rhs.coefficient(exps)
+    exps = _decode(first, k, window)
+    return (exps, lemma_side("LHS", k, spec, window).coefficient(exps),
+            lemma_side("RHS", k, spec, window).coefficient(exps))
 
 
 def instantiate_from_affine(b: AffineB) -> SeriesPairSpec:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from bkpnpoint import cli, npoint
+from bkpnpoint import cli, lemma, npoint
 from bkpnpoint.cli import main
+from bkpnpoint.sampling import random_series_pair_spec
 
 
 def write_coords(path, rows):
@@ -214,6 +215,38 @@ def test_verify_failure_reported(capsys, monkeypatch):
     assert code == 1
     assert doc["passed"] is False
     assert "instance 0" in doc["checks"][0]["detail"]
+
+
+def test_verify_lemma_failure_names_monomial(capsys, monkeypatch):
+    # g built from another spec breaks the identity
+    other = lemma.validate_pair_spec({(1, 3): 1}, {2: Fraction(1, 2)})
+    eval_g = lemma.eval_g
+    monkeypatch.setattr(lemma, "eval_g",
+                        lambda spec, a, b, win: eval_g(other, a, b, win))
+    code, doc = run_json(capsys, [
+        "verify", "--check", "lemma", "--count", "1", "--k", "2",
+    ])
+    assert code == 1
+    assert doc["passed"] is False
+    spec = random_series_pair_spec(0)
+    lhs = lemma.lemma_side("LHS", 2, spec, 6)
+    rhs = lemma.lemma_side("RHS", 2, spec, 6)
+    exps = min(lhs.sub(rhs).coeffs)
+    assert doc["checks"][0]["detail"] == (
+        f"instance 0 k 2: sides differ at {list(exps)} "
+        f"({lhs.coefficient(exps)} vs {rhs.coefficient(exps)})"
+    )
+
+
+def test_verify_lemma_cost_limit_refused_up_front(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("factor table built")
+
+    monkeypatch.setattr(lemma, "_factor_table", build)
+    code = main(["verify", "--check", "lemma", "--k", "4",
+                 "--window-cap", "20"])
+    assert code == 2
+    assert "limit of" in capsys.readouterr().err
 
 
 def test_verify_csv_output(capsys):

@@ -1,9 +1,12 @@
 """Tests for the f/g cycle-sum identity and its affine instantiation."""
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
+from bkpnpoint import lemma
 from bkpnpoint.affine import validate_b
 from bkpnpoint.lemma import (
     SeriesPairSpec,
@@ -217,3 +220,151 @@ def test_instantiated_lemma_and_formulas_agree():
         b = random_affine_b(seed, max_index=3)
         assert check_lemma(2, instantiate_from_affine(b), 6)
         assert compare_formulas(b, 2, 5).tables_agree
+
+
+# -- the contraction engine against the half enumeration ---------------------
+
+
+def _swap_flavors(coeffs, nvars):
+    # Exchange x_j and y_j exponents (position p maps to p ^ 1).
+    return {tuple(e[p ^ 1] for p in range(nvars)): c for e, c in coeffs.items()}
+
+
+def _reference_side(which, k, spec, window):
+    """One side by the plain product loop over cycles and sign vectors with
+    eps_1 = +1; flipping every sign maps a term to its x<->y flavor swap
+    times (-1)^k, which gives the other half."""
+    nvars = 2 * k
+    win = uniform_window(nvars, -window, window)
+    factors = lemma._factor_table(which, k, spec, win)
+    markers = {}
+    clipped = False
+    for fac in factors.values():
+        markers.update(fac.markers)
+        clipped = clipped or fac.clipped
+    compact = {}
+    common = 1
+    for (j1, j2, e1, e2), fac in factors.items():
+        pa = 2 * (j1 - 1) + (1 if e1 == 1 else 0)
+        pb = 2 * (j2 - 1) + (0 if e2 == 1 else 1)
+        den = lcm(*(c.denominator for c in fac.coeffs.values()), 1)
+        items = [(e[pa], e[pb], int(c * den)) for e, c in fac.coeffs.items()]
+        compact[j1, j2, e1, e2] = (pa, pb, items, den)
+        common = lcm(common, den)
+    scale_den = common ** k
+    half = {}
+    for order in cycle_orders(k):
+        for eps in product((1,), *((1, -1),) * (k - 1)):
+            sign = 1
+            for e in eps:
+                sign *= e
+            chain = [
+                compact[order[i] + 1, order[(i + 1) % k] + 1,
+                        eps[order[i]], eps[order[(i + 1) % k]]]
+                for i in range(k)
+            ]
+            term_den = 1
+            for _, _, _, den in chain:
+                term_den *= den
+            base = sign * (scale_den // term_den)
+            for combo in product(*(items for _, _, items, _ in chain)):
+                exps = [0] * nvars
+                value = base
+                for (pa, pb, _, _), (ea, eb, c) in zip(chain, combo):
+                    exps[pa] = ea
+                    exps[pb] = eb
+                    value *= c
+                key = tuple(exps)
+                half[key] = half.get(key, 0) + value
+    flip = 1 if k % 2 == 0 else -1
+    total = dict(half)
+    for key, value in _swap_flavors(half, nvars).items():
+        total[key] = total.get(key, 0) + flip * value
+    out_num = 2 ** k if which == "RHS" else 1
+    coeffs = {key: Fraction(v * out_num, scale_den)
+              for key, v in total.items() if v}
+    return Series(nvars, win, coeffs, markers, clipped)
+
+
+def _assert_same_side(got, want):
+    assert got.coeffs == want.coeffs
+    assert got.window == want.window
+    assert got.markers == want.markers
+    assert got.clipped == want.clipped
+
+
+SMALL_K4_SPEC = dict(s={(1, 2): F(1, 2)}, t={1: F(-2, 3)})
+
+
+@pytest.mark.parametrize("window", [3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_engine_matches_half_enumeration(k, window):
+    for seed in range(6):
+        spec = random_series_pair_spec(seed)
+        for which in ("LHS", "RHS"):
+            _assert_same_side(lemma_side(which, k, spec, window),
+                              _reference_side(which, k, spec, window))
+
+
+def test_engine_matches_half_enumeration_k4():
+    spec = _spec(**SMALL_K4_SPEC)
+    for which in ("LHS", "RHS"):
+        _assert_same_side(lemma_side(which, 4, spec, 4),
+                          _reference_side(which, 4, spec, 4))
+
+
+@pytest.mark.parametrize("k,window,spec,other", [
+    (1, 6, random_series_pair_spec(0), random_series_pair_spec(1)),
+    (2, 6, random_series_pair_spec(3), random_series_pair_spec(4)),
+    (3, 6, random_series_pair_spec(5), random_series_pair_spec(2)),
+    (4, 3, _spec(**SMALL_K4_SPEC), _spec(s={(1, 3): F(1)}, t={2: F(1, 2)})),
+])
+def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
+                                                other):
+    # g built from a second spec breaks the identity but keeps the flavor
+    # swap symmetry the half-enumeration reference relies on.
+    eval_g_orig = lemma.eval_g
+    monkeypatch.setattr(
+        lemma, "eval_g",
+        lambda unused, a, b, win: eval_g_orig(other, a, b, win))
+    lhs = _reference_side("LHS", k, spec, window)
+    rhs = _reference_side("RHS", k, spec, window)
+    diff = lhs.sub(rhs)
+    assert diff.coeffs
+    exps = min(diff.coeffs)
+    assert first_lemma_difference(k, spec, window) == (
+        exps, lhs.coefficient(exps), rhs.coefficient(exps))
+    assert not check_lemma(k, spec, window)
+
+
+# -- cost limit ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", [1, 3, 6])
+def test_factor_term_bound_holds(window):
+    for seed in range(40):
+        spec = random_series_pair_spec(seed)
+        bound = lemma._factor_terms(spec, window)
+        win = uniform_window(6, -window, window)
+        for which in ("LHS", "RHS"):
+            table = lemma._factor_table(which, 3, spec, win)
+            assert max(len(f.coeffs) for f in table.values()) <= bound
+
+
+def test_cost_limit_admits_random_specs_up_to_k4():
+    for seed in range(40):
+        spec = random_series_pair_spec(seed)
+        for k in (1, 2, 3, 4):
+            lemma._validate(k, spec, 6)
+
+
+def test_cost_limit_refuses_before_building_factors(monkeypatch):
+    def build(*args):
+        raise AssertionError("factor table built")
+
+    monkeypatch.setattr(lemma, "_factor_table", build)
+    spec = random_series_pair_spec(0)
+    with pytest.raises(ValueError, match="limit"):
+        first_lemma_difference(4, spec, 20)
+    with pytest.raises(ValueError, match="limit"):
+        lemma_side("RHS", 4, spec, 20)
