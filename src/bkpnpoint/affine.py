@@ -102,15 +102,22 @@ def validate_b(items) -> AffineB:
 
 
 def bkp_to_kp(b: AffineB) -> AffineKP:
-    """KP affine coordinates of the square embedding of a BKP point."""
-    out: dict = {}
-    top = b.max_index
-    for m in range(0, top):  # a_{m+1, .} must exist
-        for n in range(0, top + 1):
-            val = 2 * (-1) ** (m + 1) * (b.get(m + 1, n) + b.get(m + 1, 0) * b.get(0, n))
-            if val != 0:
-                out[(m, n)] = val
-    return AffineKP(out)
+    """KP affine coordinates of the square embedding of a BKP point.
+
+    Only stored entries contribute to ``a^KP_{m,n}``: the entry ``(m+1, n)``
+    and the products of an entry ``(m+1, 0)`` with an entry ``(0, n)``.
+    """
+    sums: dict = {}
+    for (row, col), a in b.entries.items():
+        if row >= 1:
+            sums[row - 1, col] = sums.get((row - 1, col), 0) + a
+    firsts = [(row, a) for (row, col), a in b.entries.items() if col == 0]
+    zeros = [(col, c) for (row, col), c in b.entries.items() if row == 0]
+    for row, a in firsts:
+        for col, c in zeros:
+            sums[row - 1, col] = sums.get((row - 1, col), 0) + a * c
+    return AffineKP({(m, n): 2 * (-1) ** (m + 1) * s
+                     for (m, n), s in sorted(sums.items()) if s != 0})
 
 
 # -- generating series ----------------------------------------------------

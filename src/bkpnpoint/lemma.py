@@ -240,13 +240,15 @@ def eval_g(spec: SeriesPairSpec, arg1: VarRef, arg2: VarRef,
 def _factor_table(which: str, k: int, spec: SeriesPairSpec, window: Window):
     # Factor for cycle step j1 -> j2 under signs (e1, e2): the first slot
     # takes y_{j1} for e1 = +1 (x_{j1} otherwise), the second slot the
-    # opposite flavor of j2.
+    # opposite flavor of j2.  Only steps a chain takes are built.
     evaluate = eval_f if which == "LHS" else eval_g
     table = {}
     for j1 in range(1, k + 1):
         for j2 in range(1, k + 1):
             if j1 != j2 or k == 1:
                 for e1, e2 in product((1, -1), repeat=2):
+                    if j1 == j2 and e1 != e2:
+                        continue  # k = 1 closes on index 1 with its own sign
                     a = VarRef(j1, "y" if e1 == 1 else "x")
                     b = VarRef(j2, "x" if e2 == 1 else "y")
                     table[j1, j2, e1, e2] = evaluate(spec, a, b, window)

@@ -33,71 +33,103 @@ Three routes to the same numbers:
 The two BKP routes are related by ``wangyang = (z_1 ... z_n) * embedded`` as
 raw series on the all-negative-exponent box.
 
-Truncation policy: exponent floor ``-(max_weight + 2)``; positive cap
-``max_weight + nvars * (max_degree + 2)`` where ``max_degree`` bounds the
-deepest coordinate exponent; `cap_scale` rescales the cap to certify that
-reported coefficients are truncation-stable.  Once both factors touching a
-variable are multiplied in, that variable's exponents are final and are
-clipped to the reported region (``<= -1``), which keeps intermediate products
-small without affecting any reported coefficient.  Returned series are
-restricted to the all-negative box.
+Each route returns a `CycleSum`: a lazy view of its series on the
+all-negative box ``[lo, -1]^n`` that computes a coefficient only when it is
+asked for.
 
-Sign sums as parity projections.  All three routes go through one loop,
-`_cycle_sum`, which multiplies the factors at ``eps = 1`` only.  Every factor
-depends on ``eps`` only through the substitution ``z_v -> eps_v z_v``, which
-multiplies the monomial ``z^e`` by ``prod_v eps_v^{e_v}`` and does not move
-it.  So the sum over signs keeps a monomial, with weight ``2^n`` or
-``2^{n-1}``, when its exponents have the right parities, and removes it
-otherwise:
+Truncation policy: exponent floor ``lo = -(max_weight + 2)``; positive cap
+``hi = max_weight + nvars * (max_degree + 2)`` where ``max_degree`` bounds
+the deepest coordinate exponent; `cap_scale` rescales the cap to certify
+that reported coefficients are truncation-stable.  Every factor keeps only
+the terms whose exponents (both of them; their sum for the n = 1 diagonal
+factor) lie in ``[lo, hi]``.
+
+Factors.  A factor touches two variables, and for every route it depends
+only on whether its step goes up (``a < b``) or down (``a > b``), because
+the smaller variable dominates every kernel expansion.  So a call builds
+two bivariate tables ``{p: ((q, c), ...)}``, ``p`` the exponent of ``z_a``
+and ``q`` that of ``z_b``, straight from the coordinates and the closed
+forms ``1/(u - v) = sum_{k>=0} u^{-1-k} v^k`` (u dominant), the constant
+``-1/4`` and the geometric tail of ``hat A^BKP``; n = 1 has one univariate
+diagonal factor instead.  All coefficients are integers over the lcm of
+the factor denominators.  The n = 2 delta kernels are not built: every
+term of them has a nonnegative exponent of ``z_1``, so they vanish on the
+reported box.
+
+Sign sums as parity projections.  Every factor depends on ``eps`` only
+through the substitution ``z_v -> eps_v z_v``, which multiplies the
+monomial ``z^e`` by ``prod_v eps_v^{e_v}`` and does not move it.  So the sum
+over signs keeps a monomial, with weight ``2^n`` or ``2^{n-1}``, when its
+exponents have the right parities, and removes it otherwise:
 
 * embedded ``= (-1)^{n-1}/2 *`` (the cycle sum at ``eps = 1``, keeping only
   terms whose exponents are all even);
 * wangyang ``= -2^{n-1} *`` (the cycle sum at ``eps = 1``, keeping only terms
-  whose exponent is odd in every variable ``v >= 1``).  Variable 0 is not
-  projected, so the parity assertion below still checks it.
+  whose exponent is odd in every variable ``v >= 1``).
 
-This is exact for every truncation window: clipping acts per monomial and per
-variable, and the substitution never moves a monomial, so clipping and sign
-flips commute.  The wrong-parity terms of a variable are dropped when it is
-clipped.  That early drop is exact too, because no later factor touches the
-variable, and it is what keeps n = 5 cheap.
+This is exact for every truncation window, since clipping acts per monomial
+and the substitution never moves one.  A table key already has the kept
+parities, so the projection costs nothing: a coefficient of another parity
+is 0 without any work, and one of the kept parity is the scaled cycle sum
+at ``eps = 1``.
 
-Cost limit: the loop visits ``(n-1)!`` cycles (720 at n = 7, 5040 at n = 8),
-so the cycle routes accept only ``n <= 7`` (`MAX_CYCLE_N`) and raise
-``ValueError`` above it, before any cycle is enumerated.  The Fock-space
-oracle has no such limit.
+Per-key contraction (a Held-Karp subset DP, Held & Karp 1962).  The
+coefficient of ``z^e`` in the cycle sum at ``eps = 1`` sums, over the cycles
+``0 -> v_1 -> ... -> v_{n-1} -> 0`` and over one term ``(p, q)`` of each
+step's factor with ``p_v + q_v = e_v`` at every vertex ``v``, the product of
+the term coefficients.  Fix the tail ``(e_1, ..., e_{n-1})``.  A path
+``0 -> ... -> j`` that entered ``j`` with exponent ``q`` leaves ``j``'s
+outgoing factor owing ``r = e_j - q``, and the steps still to come depend
+only on the state (visited set, ``j``, ``r``).  So the engine keeps, per
+state, the sum over every path reaching it, split by vertex 0's outgoing
+exponent ``p_0``, and extends it once to each unvisited vertex.  The closing
+step ``j -> 0`` with a term ``(r, q_0)`` adds into the entry
+``e_0 = p_0 + q_0`` of the column, so one run gives the coefficients for
+every ``e_0`` of the tail.  By distributivity this is the sum over cycles
+term for term, and each vertex sees exactly one outgoing and one incoming
+factor exponent, so it is exact for every window.  Columns are cached per
+tail.
 
-Per-variable parity (even exponents for the embedded route, odd for the direct
-one) is asserted on every kept monomial, as is permutation symmetry of the
-extracted tables.
+Checks.  wangyang does not project variable 0: every column it computes is
+checked, and a nonzero entry at an even ``e_0`` raises ``ArithmeticError``
+(a truncation window that is too small shows up this way).  `npoint_table`
+asserts the permutation symmetry of every table.
+
+Cost limit.  A run visits at most ``2^{n-1} (n-1) (hi - lo + 1)`` states
+and extends each by at most one factor's terms, ``hi - lo + 2`` plus the
+number of coordinate entries.  The routes multiply these bounds by the
+number of tails `npoint_table` reads and refuse, with ``ValueError``, an
+estimate above `MAX_CYCLE_WORK`, before any factor table is built;
+`compare_formulas` does the same for the tails of its raw relation.  The
+Fock-space oracle has no such limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import permutations
+from itertools import permutations, product
+from math import comb, lcm
 
-from .affine import (
-    AffineB,
-    AffineKP,
-    bkp_to_kp,
-    series_a_bkp,
-    series_a_hat_bkp,
-    series_a_hat_kp,
-)
+from .affine import AffineB, AffineKP, bkp_to_kp
 from .fock import odd_tuples
-from .series import KernelKind, Series, _box_iter, expand_kernel
+from .series import WindowError
 
 Window = tuple[tuple[int, int], ...]
 
-# Largest n the cycle routes accept (see the module docstring).
-MAX_CYCLE_N = 7
+ZERO = Fraction(0)
+
+# Largest work estimate a closed-formula call takes on (see the module
+# docstring).  On a 2-core x86 machine under Python 3.11 the engine gets
+# through 1e8 to 3.5e8 estimated steps per second (npoint at n = 12, max
+# weight 12 on a one-entry instance: 9.4e7 in 0.7 s), so a call takes at
+# most about ten seconds.
+MAX_CYCLE_WORK = 10**9
 
 
 def cycle_orders(n: int):
-    """Visiting orders of the ``(n-1)!`` cycles on ``{0, .., n-1}``."""
+    """Visiting orders of the ``(n-1)!`` cycles on ``{0, .., n-1}``, the
+    cycles the engine sums over; the literal reference sums use them."""
     if n == 1:
         return ((0,),)
     return tuple((0,) + rest for rest in permutations(range(1, n)))
@@ -116,6 +148,9 @@ def standard_window(
     hi = pos_cap if pos_cap is not None else cap_scale * (
         max_weight + nvars * (max_degree + 2)
     )
+    if hi < 0:
+        # the kernels' subordinate exponents start at 0
+        raise ValueError(f"positive exponent cap {hi} must be >= 0")
     return ((lo, hi),) * nvars
 
 
@@ -127,47 +162,192 @@ def _b_degree(b: AffineB) -> int:
     return max(b.max_index, 1)
 
 
-def _negative_box(nvars: int, window: Window) -> dict:
-    return {v: (window[v][0], -1) for v in range(nvars)}
+# -- cost limit ----------------------------------------------------------------
 
 
-def _keep_parity(series: Series, var: int, want: int | None) -> Series:
-    """Drop the terms whose exponent of ``z_var`` does not have parity
-    ``want`` (``None`` keeps every term)."""
-    if want is None:
-        return series
-    coeffs = {e: c for e, c in series.coeffs.items() if e[var] % 2 == want}
-    return Series(
-        series.nvars, series.window, coeffs, dict(series.markers), series.clipped
-    )
+def _table_tails(n: int, max_weight: int, step: int) -> int:
+    """Tails read by `npoint_table`: ordered ``(n-1)``-tuples of positive
+    indices (odd for ``step`` 2) with sum ``<= max_weight - 1``."""
+    free = (max_weight - n) // step
+    return comb(free + n - 1, n - 1) if free >= 0 else 0
 
 
-def _cycle_sum(factor, n: int, window: Window, parity: tuple) -> Series:
-    """Sum over the ``(n-1)!`` cycles of the product of ``factor(a, b)`` over
-    the cycle steps ``a -> b``, on the all-negative box.
-
-    ``parity[v]`` (0, 1 or ``None``) is the exponent parity of ``z_v`` that is
-    kept.  A variable is clipped to ``<= -1`` and projected as soon as both
-    factors touching it are multiplied in.
-    """
-    if n > MAX_CYCLE_N:
+def _check_work(n: int, window: Window, entries: int, tails: int) -> None:
+    lo, hi = window[0]
+    width = hi - lo + 1
+    states = 2 ** (n - 1) * (n - 1) * width
+    terms = width + 1 + entries
+    work = states * terms * tails
+    if work > MAX_CYCLE_WORK:
         raise ValueError(
-            f"n = {n} exceeds the cycle-formula limit n <= {MAX_CYCLE_N} "
-            "(the cost grows like (n-1)!)"
+            f"the cycle formulas at n = {n} (window [{lo}, {hi}]) would take "
+            f"about {work} steps ({states} states x {terms} factor terms x "
+            f"{tails} tails), above the limit of {MAX_CYCLE_WORK}"
         )
-    factor = cache(factor)  # each ordered pair recurs in many cycles
-    lo = window[0][0]
-    total = Series.zero(n, window)
-    for order in cycle_orders(n):
-        pairs = cycle_pairs(order)
-        term = factor(*pairs[0])
-        for i in range(1, n):
-            term = term.mul(factor(*pairs[i]))
-            done = order[i]  # both incident factors are now included
-            term = _keep_parity(term.clip({done: (lo, -1)}), done, parity[done])
-        term = term.clip(_negative_box(n, window))
-        total = total.add(_keep_parity(term, 0, parity[0]))
-    return total
+
+
+# -- factors -------------------------------------------------------------------
+
+
+def _factor_table(terms, lo: int, hi: int) -> dict:
+    """Sum ``(exponents, coefficient)`` terms, keeping those whose exponents
+    all lie in ``[lo, hi]``."""
+    table: dict = {}
+    for exps, c in terms:
+        if all(lo <= x <= hi for x in exps):
+            table[exps] = table.get(exps, 0) + c
+    return {exps: c for exps, c in table.items() if c}
+
+
+def _a_kp(kp: AffineKP):
+    """``(x, y, c)`` terms of ``A^KP(u, v) = sum c u^x v^y``."""
+    for (m, n), a in kp.entries.items():
+        yield -m - 1, -n - 1, a
+
+
+def _a_bkp(b: AffineB):
+    """``(x, y, c)`` terms of ``A^BKP(u, v) = sum c u^x v^y``."""
+    for (n, m), a in b.entries.items():
+        weight = (n >= 1) + (m >= 1)
+        if weight:
+            yield -n, -m, Fraction(weight * (-1) ** (m + n + 1), 2) * a
+
+
+def _kp_factors(kp: AffineKP, n: int, lo: int, hi: int) -> tuple:
+    """Factor tables of ``hat A^KP(z_a, z_b)``: up and down, or diagonal."""
+    if n == 1:
+        terms = (((x + y,), c) for x, y, c in _a_kp(kp))
+        return (_factor_table(terms, lo, hi),)
+    kernel = range(hi + 1)  # 1/(z_a - z_b), the smaller variable dominant
+    up = [((x, y), c) for x, y, c in _a_kp(kp)]
+    down = list(up)
+    up += [((-1 - k, k), 1) for k in kernel]
+    down += [((k, -1 - k), -1) for k in kernel]
+    return _factor_table(up, lo, hi), _factor_table(down, lo, hi)
+
+
+def _bkp_factors(b: AffineB, n: int, lo: int, hi: int) -> tuple:
+    """Factor tables of the wangyang steps: up and down, or diagonal."""
+    if n == 1:  # A^BKP(z, -z)
+        terms = (((x + y,), -c if y & 1 else c) for x, y, c in _a_bkp(b))
+        return (_factor_table(terms, lo, hi),)
+    # hat A^BKP(u, v) = A^BKP(u, v) - 1/4 - (1/2) sum_{k>=1} (-1)^k u^-k v^k
+    hat = list(_a_bkp(b))
+    hat.append((0, 0, Fraction(-1, 4)))
+    hat += [(-k, k, Fraction((-1) ** (k + 1), 2)) for k in range(1, hi + 1)]
+    # up: hat A^BKP(z_a, -z_b); down: -hat A^BKP(-z_b, z_a)
+    up = [((x, y), -c if y & 1 else c) for x, y, c in hat]
+    down = [((y, x), c if x & 1 else -c) for x, y, c in hat]
+    return _factor_table(up, lo, hi), _factor_table(down, lo, hi)
+
+
+def _rows(table: dict, den: int) -> dict:
+    """``{p: ((q, integer), ...)}`` of a bivariate table over ``den``."""
+    rows: dict = {}
+    for (p, q), c in table.items():
+        rows.setdefault(p, []).append((q, c.numerator * (den // c.denominator)))
+    return {p: tuple(row) for p, row in rows.items()}
+
+
+# -- the engine ----------------------------------------------------------------
+
+
+class CycleSum:
+    """Coefficients of one closed cycle formula on the all-negative box.
+
+    ``factors`` are the up and down tables (the diagonal one for n = 1),
+    ``scale`` multiplies the cycle sum at ``eps = 1``, and ``parity[v]`` is
+    the kept exponent parity of ``z_v`` (``None`` keeps both).  With
+    ``head_checked`` the parity of ``z_0`` is asserted on every column
+    rather than projected.  See the module docstring.
+    """
+
+    def __init__(self, nvars: int, window: Window, factors: tuple, scale,
+                 parity: tuple, head_checked: bool = False):
+        self.nvars = nvars
+        self.window = tuple((lo, min(hi, -1)) for lo, hi in window)
+        den = lcm(1, *(c.denominator for t in factors for c in t.values()))
+        if nvars == 1:
+            self._diagonal = {e: c.numerator * (den // c.denominator)
+                              for (e,), c in factors[0].items()}
+        else:
+            self._up, self._down = (_rows(t, den) for t in factors)
+        self._scale = Fraction(scale) / den ** nvars
+        self._parity = parity
+        self._head_checked = head_checked
+        self._columns: dict = {}
+
+    def coefficient(self, exps) -> Fraction:
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError("exponent arity mismatch")
+        for e, (lo, hi) in zip(exps, self.window):
+            if not lo <= e <= hi:
+                raise WindowError(
+                    f"exponent {exps} outside window {self.window}")
+        for e, want in zip(exps[1:], self._parity[1:]):
+            if want is not None and e % 2 != want:
+                return ZERO
+        tail = exps[1:]
+        column = self._columns.get(tail)
+        if column is None:
+            column = self._columns[tail] = self._column(tail)
+        return column.get(exps[0], ZERO)
+
+    def _column(self, tail: tuple) -> dict:
+        """``{e_0: coefficient}`` for one tail, every ``e_0`` at once."""
+        lo, top = self.window[0]
+        if self.nvars == 1:
+            acc = {e: c for e, c in self._diagonal.items() if e <= top}
+        else:
+            acc = self._contract((0,) + tail, lo, top)
+        want = self._parity[0]
+        if self._head_checked:
+            for e0, v in acc.items():
+                if v and e0 % 2 != want:
+                    raise ArithmeticError(
+                        f"parity violation at {(e0,) + tail}: truncation "
+                        "window too small"
+                    )
+        return {e0: v * self._scale for e0, v in acc.items()
+                if v and (want is None or e0 % 2 == want)}
+
+    def _contract(self, exps: tuple, lo: int, top: int) -> dict:
+        """Integer column of the cycle sum at ``eps = 1`` over the tail of
+        ``exps``: the subset DP of the module docstring."""
+        n = self.nvars
+        up, down = self._up, self._down
+        owed = up.keys() | down.keys()
+        # state (visited mask, last vertex j, exponent j still owes) ->
+        # {p_0: sum of the paths reaching it}
+        layer = {(1, 0, p0): {p0: 1} for p0 in up}
+        for _ in range(n - 1):
+            grown: dict = {}
+            for (seen, j, r), part in layer.items():
+                for k in range(1, n):
+                    if seen >> k & 1:
+                        continue
+                    row = (up if j < k else down).get(r, ())
+                    for q, c in row:
+                        owe = exps[k] - q
+                        if owe in owed:
+                            _extend(grown.setdefault((seen | 1 << k, k, owe),
+                                                     {}), part, c)
+            layer = grown
+        column: dict = {}
+        for (_, _, r), part in layer.items():
+            for q0, c in down.get(r, ()):
+                for p0, v in part.items():
+                    e0 = p0 + q0
+                    if lo <= e0 <= top:
+                        column[e0] = column.get(e0, 0) + v * c
+        return column
+
+
+def _extend(out: dict, part: dict, c: int) -> None:
+    # out += c * part, entry by entry.
+    for p0, v in part.items():
+        out[p0] = out.get(p0, 0) + v * c
 
 
 def kp_npoint(
@@ -177,22 +357,14 @@ def kp_npoint(
     *,
     cap_scale: int = 1,
     pos_cap: int | None = None,
-) -> Series:
+) -> CycleSum:
     """KP connected n-point series, ``n >= 2``, on the all-negative box."""
     if n < 2:
         raise ValueError("the KP cycle formula needs n >= 2")
     window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
-
-    def factor(a, b):
-        return series_a_hat_kp(kp, n, window, a, b)
-
-    total = _cycle_sum(factor, n, window, (None,) * n)
-    if (n - 1) % 2 == 1:
-        total = total.neg()
-    if n == 2:
-        delta = expand_kernel(KernelKind.INV_DIFF_SQ, n, window, 0, 1)
-        total = total.sub(delta.clip(_negative_box(n, window)))
-    return total.clip(_negative_box(n, window))
+    _check_work(n, window, len(kp.entries), _table_tails(n, max_weight, 1))
+    factors = _kp_factors(kp, n, *window[0])
+    return CycleSum(n, window, factors, (-1) ** (n - 1), (None,) * n)
 
 
 def embedded_npoint_series(
@@ -202,24 +374,16 @@ def embedded_npoint_series(
     *,
     cap_scale: int = 1,
     pos_cap: int | None = None,
-) -> Series:
+) -> CycleSum:
     """BKP n-point series through the KP embedding (sign-flip average)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     kp = bkp_to_kp(b)
     window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
-
-    def factor(a, bb):
-        return series_a_hat_kp(kp, n, window, a, bb)
-
-    total = _cycle_sum(factor, n, window, (0,) * n)
-    total = total.scale(Fraction((-1) ** (n - 1), 2))
-    if n == 2:
-        delta = expand_kernel(KernelKind.KP_DELTA, n, window, 0, 1)
-        total = total.sub(delta.clip(_negative_box(n, window)))
-    total = total.clip(_negative_box(n, window))
-    _assert_parity(total, even=True)
-    return total
+    _check_work(n, window, len(kp.entries), _table_tails(n, max_weight, 2))
+    factors = _kp_factors(kp, n, *window[0])
+    return CycleSum(n, window, factors, Fraction((-1) ** (n - 1), 2),
+                    (0,) * n)
 
 
 def wangyang_npoint_series(
@@ -229,57 +393,54 @@ def wangyang_npoint_series(
     *,
     cap_scale: int = 1,
     pos_cap: int | None = None,
-) -> Series:
+) -> CycleSum:
     """BKP n-point series from the intrinsic neutral-fermion cycle sum."""
     if n < 1:
         raise ValueError("n must be >= 1")
     window = standard_window(n, max_weight, _b_degree(b), cap_scale, pos_cap)
-
-    def factor(a, bb):
-        if a == bb:
-            return series_a_bkp(b, n, window, a, a, 1, -1)
-        if a < bb:
-            return series_a_hat_bkp(b, n, window, a, bb, 1, -1)
-        return series_a_hat_bkp(b, n, window, bb, a, -1, 1).neg()
-
-    total = _cycle_sum(factor, n, window, (None,) + (1,) * (n - 1))
-    total = total.scale(-(2 ** (n - 1)))
-    if n == 2:
-        delta = expand_kernel(KernelKind.BKP_DELTA, n, window, 0, 1)
-        total = total.sub(delta.clip(_negative_box(n, window)))
-    total = total.clip(_negative_box(n, window))
-    _assert_parity(total, even=False)
-    return total
-
-
-def _assert_parity(series: Series, even: bool) -> None:
-    want = 0 if even else 1
-    for exps in series.coeffs:
-        if any(e % 2 != want for e in exps):
-            raise ArithmeticError(
-                f"parity violation at {exps}: truncation window too small"
-            )
+    _check_work(n, window, len(b.entries), _table_tails(n, max_weight, 2))
+    factors = _bkp_factors(b, n, *window[0])
+    return CycleSum(n, window, factors, -(2 ** (n - 1)), (1,) * n,
+                    head_checked=True)
 
 
 # -- tables ------------------------------------------------------------------
 
 
-def npoint_table(series: Series, n: int, max_weight: int, *, index_shift: int,
+def npoint_table(series, n: int, max_weight: int, *, index_shift: int,
                  odd_only: bool = True) -> dict:
-    """Read the n-point values off a series: ``key -> coeff`` at
-    ``exps = (-i_1 - shift, ...)``; asserts permutation symmetry."""
+    """Read the n-point values off a series (anything with ``coefficient``):
+    ``key -> coeff`` at ``exps = (-i_1 - shift, ...)``; asserts permutation
+    symmetry."""
     out: dict = {}
     step = 2 if odd_only else 1
     for key in odd_tuples(n, max_weight, step):
         exps = tuple(-i - index_shift for i in key)
         value = series.coefficient(exps)
-        for perm in set(permutations(exps)):
+        for perm in _orderings(exps):
             if series.coefficient(perm) != value:
                 raise ArithmeticError(
                     f"table not symmetric at {key}: {perm} differs"
                 )
         out[key] = value
     return out
+
+
+def _orderings(exps: tuple):
+    """Each distinct ordering of ``exps`` once, in lexicographic order."""
+    items = sorted(exps)
+    while True:
+        yield tuple(items)
+        i = len(items) - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(items) - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1:] = reversed(items[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -297,6 +458,15 @@ def compare_formulas(
     b: AffineB, n: int, max_weight: int, *, cap_scale: int = 1
 ) -> FormulaComparison:
     """Compute both BKP routes, their tables, and the raw series relation."""
+    # wangyang == (z_1 ... z_n) * embedded is compared on [-(w+1), -1]^n.
+    # Off its all-odd points both sides vanish by parity, so only those are
+    # read; that is every odd tail of the box.
+    odd = range(-1, -(max_weight + 2), -2)
+    kp = bkp_to_kp(b)
+    for degree, entries in ((_kp_degree(kp), len(kp.entries)),
+                            (_b_degree(b), len(b.entries))):
+        window = standard_window(n, max_weight, degree, cap_scale)
+        _check_work(n, window, entries, len(odd) ** (n - 1))
     emb = embedded_npoint_series(b, n, max_weight, cap_scale=cap_scale)
     wy = wangyang_npoint_series(b, n, max_weight, cap_scale=cap_scale)
     t_emb = npoint_table(emb, n, max_weight, index_shift=1)
@@ -308,12 +478,8 @@ def compare_formulas(
             if t_emb[key] != t_wy.get(key):
                 first = (key, t_emb[key], t_wy.get(key))
                 break
-    # wangyang == (z_1 ... z_n) * embedded, compared where both are reliable
-    shifted = emb.shift((1,) * n)
-    lo = -(max_weight + 1)
-    raw = True
-    for exps in _box_iter(((lo, -1),) * n):
-        if shifted.coefficient(exps) != wy.coefficient(exps):
-            raw = False
-            break
+    raw = all(
+        wy.coefficient(exps) == emb.coefficient(tuple(e - 1 for e in exps))
+        for exps in product(odd, repeat=n)
+    )
     return FormulaComparison(n, max_weight, t_emb, t_wy, agree, raw, first)

@@ -69,6 +69,35 @@ def test_bkp_to_kp_quadratic_term():
     assert kp.get(1, 1) == -2
 
 
+def _dense_bkp_to_kp(b):
+    """The conversion formula evaluated over the whole index box."""
+    out = {}
+    top = b.max_index
+    for m in range(0, top):
+        for n in range(0, top + 1):
+            val = 2 * (-1) ** (m + 1) * (
+                b.get(m + 1, n) + b.get(m + 1, 0) * b.get(0, n))
+            if val != 0:
+                out[(m, n)] = val
+    return out
+
+
+def test_bkp_to_kp_matches_dense_formula():
+    instances = [random_affine_b(seed) for seed in range(10)]
+    instances.append(random_affine_b(7, max_index=6, density=0.6))
+    for b in instances:
+        assert bkp_to_kp(b).entries == _dense_bkp_to_kp(b)
+
+
+def test_bkp_to_kp_huge_index_converts_at_once():
+    # the dense index box would have 10^8 positions
+    kp = bkp_to_kp(validate_b([(10**4, 0, 1), (1, 0, 2)]))
+    assert kp.entries == {
+        (0, 0): -4, (0, 1): 8, (0, 10**4): 4,
+        (10**4 - 1, 0): 2, (10**4 - 1, 1): -4, (10**4 - 1, 10**4): -2,
+    }
+
+
 def test_series_a_bkp_frozen():
     b = validate_b([(1, 0, 1)])
     s = series_a_bkp(b, 2, W(2, -4, 0), 0, 1)

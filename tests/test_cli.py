@@ -111,15 +111,16 @@ def test_npoint_input_errors(capsys, tmp_path, one_entry_coords):
 
 
 def test_npoint_large_n_refused_up_front(capsys, one_entry_coords, monkeypatch):
-    # the limit is checked before any of the (n-1)! cycles is enumerated
-    def enumerate_cycles(n):
-        raise AssertionError(f"cycle_orders({n}) called")
+    # the work estimate is checked before any factor table is built
+    def build(*args):
+        raise AssertionError("factor table built")
 
-    monkeypatch.setattr(npoint, "cycle_orders", enumerate_cycles)
-    code = main(["npoint", "--coords", one_entry_coords, "--n", "12",
-                 "--max-weight", "12"])
+    monkeypatch.setattr(npoint, "_factor_table", build)
+    code = main(["npoint", "--coords", one_entry_coords, "--n", "16",
+                 "--max-weight", "16"])
     assert code == 2
-    assert "n <= 7" in capsys.readouterr().err
+    limit = f"above the limit of {npoint.MAX_CYCLE_WORK}"
+    assert limit in capsys.readouterr().err
 
 
 def test_npoint_oracle_has_no_cycle_limit(capsys, one_entry_coords):

@@ -122,6 +122,14 @@ def test_k1_sides_frozen():
     assert lhs == rhs
 
 
+def test_k1_sides_unclipped_when_every_used_factor_is():
+    # f(y_1, y_1) and f(x_1, x_1), whose s term z^-7 leaves the window, are
+    # taken by no chain, so they must not set the flag
+    spec = _spec(s={(3, 4): 1})
+    for which in ("LHS", "RHS"):
+        assert not lemma_side(which, 1, spec, 6).clipped
+
+
 def test_zero_spec_identity():
     # pure kernel identity, no s or t
     for k in (1, 2, 3):

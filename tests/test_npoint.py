@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+from bkpnpoint import npoint
 from bkpnpoint.affine import (
     AffineB,
     AffineKP,
@@ -22,7 +23,7 @@ from bkpnpoint.fock import (
     tau_coefficients_kp,
 )
 from bkpnpoint.npoint import (
-    MAX_CYCLE_N,
+    MAX_CYCLE_WORK,
     FormulaComparison,
     _b_degree,
     _kp_degree,
@@ -57,16 +58,27 @@ def test_argument_validation():
         embedded_npoint_series(AffineB(), 0, 4)
     with pytest.raises(ValueError):
         wangyang_npoint_series(AffineB(), 0, 4)
+    with pytest.raises(ValueError, match="cap"):
+        embedded_npoint_series(AffineB(), 3, 4, pos_cap=-1)
+
+
+def _box_items(series):
+    """``(exps, coefficient)`` at every point of the series' window, which
+    is the all-negative box."""
+    for exps in product(*(range(lo, hi + 1) for lo, hi in series.window)):
+        yield exps, series.coefficient(exps)
 
 
 def test_trivial_coordinates_give_zero_tables():
     # in particular the n=2 delta-kernel cancellation is exact
     triv = AffineB()
-    assert kp_npoint(AffineKP(), 2, 7).coeffs == {}
+    assert not any(c for _, c in _box_items(kp_npoint(AffineKP(), 2, 7)))
     for n in (1, 2, 3, 4):
         w = 7 if n < 4 else 5
-        assert embedded_npoint_series(triv, n, w).coeffs == {}
-        assert wangyang_npoint_series(triv, n, w).coeffs == {}
+        for route in (embedded_npoint_series, wangyang_npoint_series):
+            series = route(triv, n, w)
+            assert series.window == ((-(w + 2), -1),) * n
+            assert not any(c for _, c in _box_items(series))
 
 
 def test_one_point_tables_frozen():
@@ -127,21 +139,33 @@ def test_window_cap_override():
 
 
 def test_series_parity():
-    # every kept monomial: even exponents for embedded, odd for direct route
+    # every nonzero coefficient: even exponents for embedded, odd for direct
     b = random_affine_b(4)
     emb = embedded_npoint_series(b, 2, 6)
     wy = wangyang_npoint_series(b, 2, 6)
-    assert all(all(e % 2 == 0 for e in k) for k in emb.coeffs)
-    assert all(all(e % 2 == 1 for e in k) for k in wy.coeffs)
+    assert any(c for _, c in _box_items(emb))
+    assert all(all(e % 2 == 0 for e in k) for k, c in _box_items(emb) if c)
+    assert all(all(e % 2 == 1 for e in k) for k, c in _box_items(wy) if c)
 
 
 def test_sign_flip_symmetry_of_returned_series():
+    # z_var -> -z_var multiplies the coefficient at e by (-1)^e[var]
     b = random_affine_b(4)
     emb = embedded_npoint_series(b, 2, 6)
     wy = wangyang_npoint_series(b, 2, 6)
     for var in (0, 1):
-        assert emb.substitute_sign(var, -1) == emb
-        assert wy.substitute_sign(var, -1) == wy.neg()
+        for exps, c in _box_items(emb):
+            assert c * (-1) ** (exps[var] % 2) == c
+        for exps, c in _box_items(wy):
+            assert c * (-1) ** (exps[var] % 2) == -c
+
+
+def test_head_parity_assertion_fires():
+    # wangyang asserts the parity of z_0 on each column instead of projecting
+    bad = npoint.CycleSum(1, ((-5, 3),), ({(-2,): F(1)},), 1, (1,),
+                          head_checked=True)
+    with pytest.raises(ArithmeticError, match="parity violation"):
+        bad.coefficient((-1,))
 
 
 def test_table_symmetry_assertion_fires():
@@ -217,11 +241,15 @@ def test_routes_equal_sign_sum_reference(route, seed, window_args):
     for n in (1, 2, 3):
         got = ROUTES[route](b, n, 7, **window_args)
         want = _sign_sum_reference(route, b, n, 7, **window_args)
-        assert got.coeffs == want.coeffs
         assert got.window == want.window
+        # every point of the reference's negative box, so every term of it
+        assert dict(_box_items(got)) == dict(_box_items(want))
 
 
-@pytest.mark.parametrize("seed, n, max_weight", [(0, 5, 9), (3, 5, 9), (0, 6, 7)])
+@pytest.mark.parametrize("seed, n, max_weight", [
+    (0, 5, 9), (3, 5, 9), (0, 6, 7),
+    (3, 8, 9),  # 5040 cycles; the one table key is (1, ..., 1)
+])
 def test_routes_match_oracle_at_larger_n(seed, n, max_weight):
     b = random_affine_b(seed)
     wy = wangyang_npoint_series(b, n, max_weight)
@@ -240,10 +268,20 @@ def test_oracle_matches_wangyang_on_dense_instance_at_weight_15():
     assert oracle_npoint_table(b, 2, 15) == table
 
 
-def test_cycle_routes_refuse_large_n():
-    n = MAX_CYCLE_N + 1
+def test_cycle_routes_refuse_large_n(monkeypatch):
+    # the work estimate is checked before any factor table is built
+    def build(*args):
+        raise AssertionError("factor table built")
+
+    monkeypatch.setattr(npoint, "_factor_table", build)
+    limit = f"above the limit of {MAX_CYCLE_WORK}"
+    b = random_affine_b(3)
     for route in (embedded_npoint_series, wangyang_npoint_series):
-        with pytest.raises(ValueError, match=f"n <= {MAX_CYCLE_N}"):
-            route(AffineB(), n, n)
-    with pytest.raises(ValueError, match=f"n <= {MAX_CYCLE_N}"):
-        kp_npoint(AffineKP(), n, n)
+        with pytest.raises(ValueError, match=limit):
+            route(b, 16, 16)
+    with pytest.raises(ValueError, match=limit):
+        kp_npoint(bkp_to_kp(b), 16, 16)
+    # the raw relation reads every odd tail of [-10, -1]^7, not only the
+    # one tail of the n=8 table
+    with pytest.raises(ValueError, match=limit):
+        compare_formulas(b, 8, 9)
