@@ -28,19 +28,34 @@ Vectors are sparse ``dict[state] -> Fraction``.  ``exp_bilinear_vacuum``
 builds ``exp(sum of quadratic raising operators)|0>`` truncated to
 ``E2 <= cutoff2``; since no operator used here ever lowers energy below a
 previously dropped state, the truncated vector is exact on the kept subspace.
+It runs on integers: with ``L`` the lcm of the denominators of the
+generator's mode terms, ``A = L * generator`` is integral, the integer
+vectors ``u_j = A u_{j-1}`` are ``L^j j!`` times the ``j``-th term of the
+exponential, and the sum is kept as numerators over the running
+denominator ``L^j j!``.  Truncation commutes with the scaling, so one
+``Fraction`` per state at the end gives the same vector and ``clipped``
+flag as the term-by-term ``Fraction`` sum.
+
+Every mode action of the oracle goes through one kernel, ``two_mode``: a
+product of two primitive actions on a basis state, with both occupancies
+checked before any tuple is built.  ``apply_mode_ops`` applies the actions
+one at a time and stays as the reference the tests hold it to.
 
 The energy cutoff needed for weight-``W`` tau coefficients exceeds ``W``:
 contributing intermediate states satisfy ``E = W_remaining + charge/2`` with
 ``E >= charge^2/2``, so ``cutoff2 = 2W + margin2`` with ``margin2`` the
 largest even ``c`` such that ``c(c-1) <= 2W``.
 
-``H^B_k`` on a basis state visits only the ``i`` that meet a hole ``h`` or a
-bubble ``b`` of it: ``i`` in ``{-(h+1)/2, (h+1)/2 - k}`` or
-``{(b+1)/2, -(b+1)/2 - k}``.  No other ``i`` acts, because each of the four
+``H^B_k`` on a basis state visits only the families ``(i, low action, high
+action)`` whose acting mode is a hole ``h`` or a bubble ``b`` of it: low
+insert at ``h`` (``i = -(h+1)/2``), high insert at ``h`` (``i = (h+1)/2 - k``),
+low remove at ``b`` (``i = (b+1)/2``) or high remove at ``b``
+(``i = -(b+1)/2 - k``).  No other family acts, because each of the four
 mode families of ``phi_i phi_{-i-k}`` needs a hole (a positive mode
 inserted) or a bubble (a negative mode removed), for every ``i`` and
-``k >= 1``.  The two modes of a family are ``-2i-1`` or ``2i-1`` (low) and
-``2(i+k)-1`` or ``-2(i+k)-1`` (high), applied high first:
+``k >= 1``, at the mode named below.  The two modes of a family are
+``-2i-1`` or ``2i-1`` (low) and ``2(i+k)-1`` or ``-2(i+k)-1`` (high),
+applied high first:
 
 * insert low, insert high: the doubled indices sum to ``2k-2 >= 0``, so one
   of them is positive and must hit a hole;
@@ -57,11 +72,20 @@ families low and high differ by ``2k``.
 
 ``tau_table`` walks the monomials depth first on integers.  The start
 vector is scaled by the common denominator ``den`` of its coefficients, and
-``H_k |state>`` (``H^B_k |state>``) is computed once per ``(state, k)`` as
-integer coefficients in units of 1 (of 1/4).  After ``d`` applications
-the integers carry the factor ``den * unit^d`` (``unit`` 1 or 4), so a
-vacuum coefficient ``v`` reached by an index multiset with multiplicities
-``m_j`` is the monomial coefficient ``v / (den * unit^d * prod m_j!)``.
+``H_k |state>`` (``H^B_k |state>``) is computed once per ``(state, k)`` by
+the kernel as integer coefficients in units of 1 (of 1/4).  After ``d``
+applications the integers carry the factor ``den * unit^d`` (``unit`` 1 or
+4), so a vacuum coefficient ``v`` reached by an index multiset with
+multiplicities ``m_j`` is the monomial coefficient
+``v / (den * unit^d * prod m_j!)``.
+
+``poly_log(tau, W, max_len=n)`` forms only the monomials of ``log tau`` with
+at most ``n`` indices, which is all an n-point table reads.  The cut is
+exact: ``log tau = sum_j (-1)^(j+1) u^j / j`` with ``u = tau - 1``, the
+number of indices adds under multiplication, and ``u`` has no term without
+indices.  So a monomial of at most ``n`` indices in ``u^j`` needs ``j <= n``
+and is a product of ``u``-terms of at most ``n`` indices each, and the
+powers can drop every longer monomial as they are formed.
 """
 
 from __future__ import annotations
@@ -142,6 +166,47 @@ def apply_mode_ops(state, ops):
     return state, sign
 
 
+def _toggled(seq: tuple, m2: int, present: bool) -> tuple:
+    """``seq`` with ``m2`` dropped (``present``) or inserted in order."""
+    i = bisect_left(seq, m2)
+    if present:
+        return seq[:i] + seq[i + 1:]
+    return seq[:i] + (m2,) + seq[i:]
+
+
+def two_mode(state, a_ins: bool, a: int, b_ins: bool, b: int):
+    """``op_a op_b |state>`` for two mode actions (insert when ``*_ins``).
+
+    Equals ``apply_mode_ops(state, ((kind_a, a), (kind_b, b)))``: ``None``
+    when it vanishes, else ``(new state, sign)``.  Both occupancies are
+    checked before any tuple is built; for ``a != b`` the sign is
+    ``(-1)^(below(a) + below(b) + [b < a])``, counted on ``state``, since
+    acting on ``b`` first moves the count below ``a`` by one when ``b < a``.
+    """
+    bubbles, holes = state
+    b_occ = b in bubbles if b < 0 else b not in holes
+    if b_occ == b_ins:
+        return None
+    if a == b:  # the second action undoes the first, or repeats it
+        return None if a_ins == b_ins else (state, 1)
+    a_occ = a in bubbles if a < 0 else a not in holes
+    if a_occ == a_ins:
+        return None
+    parity = _count_below(bubbles, holes, a) + _count_below(bubbles, holes, b)
+    if b < a:
+        parity += 1
+    # a bubble is an occupied negative mode, a hole a vacated positive one
+    if b < 0:
+        bubbles = _toggled(bubbles, b, b_occ)
+    else:
+        holes = _toggled(holes, b, not b_occ)
+    if a < 0:
+        bubbles = _toggled(bubbles, a, a_occ)
+    else:
+        holes = _toggled(holes, a, not a_occ)
+    return (bubbles, holes), -1 if parity & 1 else 1
+
+
 @dataclass(frozen=True)
 class QuadraticOp:
     """A fermion bilinear: ``psi_{r} psi*_{s}`` or ``phi_m phi_n``."""
@@ -157,17 +222,17 @@ class QuadraticOp:
         return 2 * (self.a + self.b) - 2
 
     def mode_terms(self):
-        """Expand into ``(ops, coefficient)`` with primitive mode actions."""
+        """Expand into ``((a_ins, a, b_ins, b), coeff)`` for ``two_mode``."""
         if self.kind == "psi_psi_star":
-            return ((((("+", self.a)), (("-", -self.b))), self.coeff),)
+            return (((True, self.a, False, -self.b), self.coeff),)
         m, n = self.a, self.b
         half = self.coeff / 2
         sm, sn = (-1) ** m, (-1) ** n
         return (
-            (((("+", -2 * m - 1)), (("+", -2 * n - 1))), half),
-            (((("+", -2 * m - 1)), (("-", 2 * n - 1))), half * sn),
-            (((("-", 2 * m - 1)), (("+", -2 * n - 1))), half * sm),
-            (((("-", 2 * m - 1)), (("-", 2 * n - 1))), half * sm * sn),
+            ((True, -2 * m - 1, True, -2 * n - 1), half),
+            ((True, -2 * m - 1, False, 2 * n - 1), half * sn),
+            ((False, 2 * m - 1, True, -2 * n - 1), half * sm),
+            ((False, 2 * m - 1, False, 2 * n - 1), half * sm * sn),
         )
 
 
@@ -181,98 +246,121 @@ def phi_phi(m: int, n: int, coeff) -> QuadraticOp:
     return QuadraticOp("phi_phi", m, n, Fraction(coeff))
 
 
-def apply_quadratic(op: QuadraticOp, vec: dict, cutoff2: int):
-    """``op * vec`` truncated to ``E2 <= cutoff2``; returns ``(dict, clipped)``."""
+def _apply_terms(terms, vec: dict, cutoff2: int):
+    """``sum k * two_mode(...)`` over ``(modes, k)`` terms, cut at ``cutoff2``.
+
+    Works on ``Fraction`` or ``int`` coefficients alike; returns
+    ``(dict without zeros, clipped)``.  A term's energy raise is known from
+    its modes (an insert of ``m2`` raises ``E2`` by ``-m2``, a remove by
+    ``m2``), so a term above the cutoff is only applied while no earlier one
+    has been clipped, to set the flag.
+    """
+    raised = [
+        (modes, k, (-modes[1] if modes[0] else modes[1])
+         + (-modes[3] if modes[2] else modes[3]))
+        for modes, k in terms
+    ]
     out: dict = {}
     clipped = False
-    terms = op.mode_terms()
     for state, c in vec.items():
-        for ops, k in terms:
-            res = apply_mode_ops(state, ops)
+        room = cutoff2 - energy2(state)
+        for modes, k, rise in raised:
+            if rise > room:
+                if not clipped and two_mode(state, *modes) is not None:
+                    clipped = True
+                continue
+            res = two_mode(state, *modes)
             if res is None:
                 continue
             new, sign = res
-            if energy2(new) > cutoff2:
-                clipped = True
-                continue
-            val = c * k * sign
+            val = c * k if sign > 0 else -c * k
             prev = out.get(new)
             out[new] = val if prev is None else prev + val
     return {s: c for s, c in out.items() if c != 0}, clipped
 
 
-def apply_h_kp(k: int, vec: dict) -> dict:
-    """``H_k`` for ``k >= 1``: moves one occupied mode up by ``k``."""
+def apply_quadratic(op: QuadraticOp, vec: dict, cutoff2: int):
+    """``op * vec`` truncated to ``E2 <= cutoff2``; returns ``(dict, clipped)``."""
+    return _apply_terms(op.mode_terms(), vec, cutoff2)
+
+
+def _h_kp_image(state, k: int) -> dict:
+    """``H_k |state>`` for ``k >= 1`` as ``new state -> +-1``.
+
+    ``H_k`` moves one occupied mode up by ``k``; distinct moves give
+    distinct states.
+    """
+    k2 = 2 * k
+    bubbles, holes = state
+    out: dict = {}
+    for mu in [nu - k2 for nu in holes] + [mu for mu in bubbles if mu + k2 < 0]:
+        res = two_mode(state, True, mu + k2, False, mu)
+        if res is not None:
+            out[res[0]] = res[1]
+    return out
+
+
+def _h_b_image(state, k: int) -> dict:
+    """``H^B_k |state>`` for ``k >= 1`` as ``new state -> coefficient * 4``.
+
+    Only the families ``(i, lo_ins, hi_ins)`` whose low or high mode is a
+    hole or a bubble of the state are visited (see the module docstring for
+    why no other family acts).
+    """
+    bubbles, holes = state
+    families = set()
+    for h in holes:
+        i = -(h + 1) // 2  # low insert fills h
+        families.add((i, True, True))
+        families.add((i, True, False))
+        i = (h + 1) // 2 - k  # high insert fills h
+        families.add((i, True, True))
+        families.add((i, False, True))
+    for b in bubbles:
+        i = (b + 1) // 2  # low remove empties b
+        families.add((i, False, True))
+        families.add((i, False, False))
+        i = -(b + 1) // 2 - k  # high remove empties b
+        families.add((i, True, False))
+        families.add((i, False, False))
+    quarters: dict = {}
+    for i, lo_ins, hi_ins in families:
+        res = two_mode(
+            state,
+            lo_ins, -2 * i - 1 if lo_ins else 2 * i - 1,
+            hi_ins, 2 * (i + k) - 1 if hi_ins else -2 * (i + k) - 1,
+        )
+        if res is None:
+            continue
+        new, sign = res
+        # (-1)^(i-1) times the family's (-1)^(i+k) per remove-high and
+        # (-1)^i per remove-low
+        if (i - 1 + (0 if hi_ins else i + k) + (0 if lo_ins else i)) & 1:
+            sign = -sign
+        quarters[new] = quarters.get(new, 0) + sign
+    return {s: q for s, q in quarters.items() if q}
+
+
+def _apply_image(image, k: int, vec: dict, unit: int) -> dict:
     if k < 1:
         raise ValueError("k must be >= 1")
-    k2 = 2 * k
     out: dict = {}
     for state, c in vec.items():
-        bubbles, holes = state
-        targets = []
-        for nu in holes:  # fill a hole from an occupied mode below
-            mu = nu - k2
-            if (mu < 0 and mu in bubbles) or (mu > 0 and mu not in holes):
-                targets.append(mu)
-        for mu in bubbles:  # raise a bubble staying below the sea
-            nu = mu + k2
-            if nu < 0 and nu not in bubbles:
-                targets.append(mu)
-        for mu in targets:
-            res = apply_mode_ops(state, ((("+", mu + k2)), (("-", mu))))
-            if res is None:
-                continue
-            new, sign = res
-            val = c * sign
+        for new, q in image(state, k).items():
+            val = c * Fraction(q, unit)
             prev = out.get(new)
             out[new] = val if prev is None else prev + val
     return {s: c for s, c in out.items() if c != 0}
 
 
-def apply_h_b(k: int, vec: dict) -> dict:
-    """``H^B_k`` for ``k >= 1``; never raises energy, mixes charge by 0, +-2.
+def apply_h_kp(k: int, vec: dict) -> dict:
+    """``H_k`` for ``k >= 1``: moves one occupied mode up by ``k``."""
+    return _apply_image(_h_kp_image, k, vec, 1)
 
-    Only the mode indices ``i`` that meet a hole or a bubble of the state
-    are visited (see the module docstring for why no other ``i`` acts).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out: dict = {}
-    # (-1) ** negative int is a float in Python; use parities
-    s_k = 1 if k % 2 == 0 else -1
-    for state, c in vec.items():
-        bubbles, holes = state
-        candidates = set()
-        for h in holes:
-            candidates.add(-(h + 1) // 2)
-            candidates.add((h + 1) // 2 - k)
-        for b in bubbles:
-            candidates.add((b + 1) // 2)
-            candidates.add(-(b + 1) // 2 - k)
-        quarters: dict = {}  # new state -> coefficient in units of 1/4
-        for i in sorted(candidates):
-            base = -1 if i % 2 == 0 else 1                      # (-1)^(i-1)
-            s_i = 1 if i % 2 == 0 else -1
-            s_ik = 1 if (i + k) % 2 == 0 else -1
-            lo_ins, lo_rem = -2 * i - 1, 2 * i - 1
-            hi_ins, hi_rem = 2 * (i + k) - 1, -2 * (i + k) - 1
-            for ops, fam_sign in (
-                (((("+", lo_ins)), (("+", hi_ins))), 1),
-                (((("+", lo_ins)), (("-", hi_rem))), s_ik),
-                (((("-", lo_rem)), (("+", hi_ins))), s_i),
-                (((("-", lo_rem)), (("-", hi_rem))), s_k),
-            ):
-                res = apply_mode_ops(state, ops)
-                if res is None:
-                    continue
-                new, sign = res
-                quarters[new] = quarters.get(new, 0) + base * fam_sign * sign
-        for new, q in quarters.items():
-            if q:
-                val = c * Fraction(q, 4)
-                prev = out.get(new)
-                out[new] = val if prev is None else prev + val
-    return {s: c for s, c in out.items() if c != 0}
+
+def apply_h_b(k: int, vec: dict) -> dict:
+    """``H^B_k`` for ``k >= 1``; never raises energy, mixes charge by 0, +-2."""
+    return _apply_image(_h_b_image, k, vec, 4)
 
 
 class TruncationOverflow(RuntimeError):
@@ -294,39 +382,57 @@ def exp_bilinear_vacuum(ops, cutoff2: int) -> FockVector:
     Every operator must have nonnegative minimal energy raise and strictly
     positive nominal raise (quadratic pieces of affine-coordinate generators
     do); zero-raise components lower the charge, so iteration terminates.
+
+    The loop runs on the integer vectors ``u_j = A u_{j-1}`` (see the module
+    docstring), each cut at ``cutoff2``.
+
+    **Iteration bound.**  A nonzero ``u_j`` needs ``j <= (C + isqrt(C)) / 2``
+    with ``C = cutoff2``, so the loop stops at most one step later, on an
+    empty term.  Each of the ``j`` factors applies one mode term, which
+    moves ``E2`` (exactly, by its two mode actions) and the charge by:
+
+    * ``phi_m phi_n`` (``m + n >= 1``): insert-insert ``2(m+n)+2 >= 4`` and
+      ``+2``; the two mixed families ``2(m+n) >= 2`` and ``0``;
+      remove-remove ``2(m+n)-2 >= 0`` and ``-2``;
+    * ``psi_r psi*_s``: ``-(r2+s2) >= 2`` and ``0``.
+
+    With ``p`` insert-insert, ``q`` remove-remove and ``r`` other factors,
+    the final state has ``E2 >= 4p + 2r`` and charge ``c = 2(p - q)``, so
+    ``j = p + q + r = 2p + r - c/2 <= E2/2 + |c|/2``.  A state of charge
+    ``c`` has ``E2 >= c^2``, so ``|c| <= isqrt(E2)``, and ``E2 <= C``.
     """
     for op in ops:
         if op.kind == "psi_psi_star" and op.min_raise2() < 2:
             raise ValueError(f"operator {op} does not raise energy")
         if op.kind == "phi_phi" and op.a + op.b < 1:
             raise ValueError(f"operator {op} does not raise energy")
-    result = {VACUUM: ONE}
-    term = {VACUUM: ONE}
+    terms = [t for op in ops for t in op.mode_terms()]
+    scale = lcm(*(k.denominator for _, k in terms))
+    terms = [(modes, k.numerator * (scale // k.denominator))
+             for modes, k in terms]
+    total = {VACUUM: 1}  # numerators over den = L^j j!
+    den = 1
+    term = {VACUUM: 1}
     clipped = False
-    limit = cutoff2 + 2 * _isqrt(cutoff2) + 8
-    for j in range(1, limit + 1):
-        acc: dict = {}
-        for op in ops:
-            part, clip = apply_quadratic(op, term, cutoff2)
-            clipped = clipped or clip
-            for s, c in part.items():
-                prev = acc.get(s)
-                acc[s] = c if prev is None else prev + c
-        term = {s: c / j for s, c in acc.items() if c != 0}
+    for j in range(1, exp_iteration_limit(cutoff2) + 1):
+        term, clip = _apply_terms(terms, term, cutoff2)
+        clipped = clipped or clip
         if not term:
-            return FockVector(result, clipped)
+            coeffs = {s: Fraction(c, den) for s, c in total.items() if c != 0}
+            return FockVector(coeffs, clipped)
+        step = scale * j
+        den *= step
+        total = {s: c * step for s, c in total.items()}
         for s, c in term.items():
-            prev = result.get(s)
-            total = c if prev is None else prev + c
-            if total != 0:
-                result[s] = total
-            elif prev is not None:
-                del result[s]
+            total[s] = total.get(s, 0) + c
     raise TruncationOverflow("exp() did not terminate; generator not raising?")
 
 
-def _isqrt(n: int) -> int:
-    return isqrt(max(0, n))
+def exp_iteration_limit(cutoff2: int) -> int:
+    """Steps ``exp_bilinear_vacuum`` may take: the proven bound plus the
+    empty last term."""
+    c = max(0, cutoff2)
+    return (c + isqrt(c)) // 2 + 1
 
 
 # -- generators from affine coordinates ------------------------------------
@@ -378,12 +484,13 @@ def tau_table(vec: FockVector, hamiltonian: str, max_weight: int, odd_only: bool
     Hamiltonians commute, so each monomial is read off one descending
     application chain; charged states that can no longer reach the vacuum
     within the remaining weight are pruned.  The chain runs on integers:
-    each ``(state, k)`` is sent through ``apply_h`` once and its image is
-    kept as ``(new state, need2, coefficient in units of 1/unit)``, where
+    each ``(state, k)`` image is computed once, from the two-mode kernel in
+    units of 1/4 (``H^B``) or 1 (``H``), and kept as
+    ``(new state, need2, integer coefficient)``, where
     ``need2 = E2 - charge`` is twice the weight the new state still needs to
     reach the vacuum.
     """
-    apply_h = {"kp": apply_h_kp, "b": apply_h_b}[hamiltonian]
+    image_of = _h_b_image if hamiltonian == "b" else _h_kp_image
     unit = 4 if hamiltonian == "b" else 1
     start = {
         s: c
@@ -400,10 +507,9 @@ def tau_table(vec: FockVector, hamiltonian: str, max_weight: int, odd_only: bool
         image = moves.get((state, idx))
         if image is None:
             image = []
-            # H^B_k coefficients are quarters, H_k coefficients are +-1
-            for new, c in apply_h(idx, {state: ONE}).items():
+            for new, c in image_of(state, idx).items():
                 new = interned.setdefault(new, new)
-                image.append((new, energy2(new) - charge(new), int(c * unit)))
+                image.append((new, energy2(new) - charge(new), c))
             image = moves[(state, idx)] = tuple(image)
         return image
 
@@ -455,12 +561,17 @@ def tau_coefficients_kp(
 # -- log and connected functions --------------------------------------------
 
 
-def poly_mul(p: dict, q: dict, max_weight: int) -> dict:
+def poly_mul(p: dict, q: dict, max_weight: int,
+             max_len: int | None = None) -> dict:
+    """``p * q`` without the monomials of weight above ``max_weight`` or
+    with more than ``max_len`` indices."""
     out: dict = {}
     for k1, v1 in p.items():
         w1 = sum(k1)
         for k2, v2 in q.items():
             if w1 + sum(k2) > max_weight:
+                continue
+            if max_len is not None and len(k1) + len(k2) > max_len:
                 continue
             key = tuple(sorted(k1 + k2))
             prev = out.get(key)
@@ -468,16 +579,24 @@ def poly_mul(p: dict, q: dict, max_weight: int) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def poly_log(tau: dict, max_weight: int) -> dict:
-    """``log tau`` as a polynomial in the times, weight-truncated."""
+def poly_log(tau: dict, max_weight: int, max_len: int | None = None) -> dict:
+    """``log tau`` as a polynomial in the times, weight-truncated.
+
+    With ``max_len`` only the monomials of at most ``max_len`` indices are
+    formed; they equal those of the full log (see the module docstring).
+    """
     if tau.get((), ZERO) != 1:
         raise ValueError("tau must have constant term 1")
-    u = {k: v for k, v in tau.items() if k and sum(k) <= max_weight}
+    top = max_weight if max_len is None else min(max_weight, max_len)
+    u = {
+        k: v for k, v in tau.items()
+        if k and sum(k) <= max_weight and (max_len is None or len(k) <= max_len)
+    }
     out: dict = {}
     power = {(): ONE}
     sign = 1
-    for j in range(1, max_weight + 1):
-        power = poly_mul(power, u, max_weight)
+    for j in range(1, top + 1):
+        power = poly_mul(power, u, max_weight, max_len)
         if not power:
             break
         for k, v in power.items():
@@ -529,7 +648,7 @@ def odd_tuples(n: int, max_weight: int, step: int = 2):
 def oracle_npoint_table(b: AffineB, n: int, max_weight: int, cutoff_bump: int = 0):
     """Connected n-point table straight from the Fock-space evaluation."""
     tau = tau_coefficients_bkp(b, max_weight, cutoff_bump)
-    logf = poly_log(tau, max_weight)
+    logf = poly_log(tau, max_weight, n)
     return connected_table_from_log(logf, n, max_weight)
 
 

@@ -29,10 +29,9 @@ def random_affine_b(
     for n in range(1, max_index + 1):
         for m in range(0, n):
             if rng.random() < density:
-                num = rng.randint(-max_height, max_height)
-                den = rng.randint(1, max_height)
-                if num != 0:
-                    rows.append((n, m, Fraction(num, den)))
+                value = random_fraction(rng, max_height)
+                if value != 0:
+                    rows.append((n, m, value))
     if not rows:
         n = rng.randint(1, max_index)
         m = rng.randint(0, n - 1)

@@ -1,7 +1,7 @@
 """Free-fermion oracle: mode algebra, Hamiltonians, tau coefficients."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bkpnpoint.affine import AffineKP, bkp_to_kp, validate_b
 from bkpnpoint.fock import (
     VACUUM,
+    FockVector,
     apply_h_b,
     apply_h_kp,
     apply_mode_ops,
@@ -20,6 +21,7 @@ from bkpnpoint.fock import (
     connected_table_from_log,
     energy2,
     exp_bilinear_vacuum,
+    exp_iteration_limit,
     needed_cutoff2,
     odd_tuples,
     phi_phi,
@@ -32,6 +34,7 @@ from bkpnpoint.fock import (
     tau_coefficients_bkp,
     tau_coefficients_kp,
     tau_table,
+    two_mode,
 )
 from bkpnpoint.sampling import random_affine_b
 
@@ -310,3 +313,143 @@ def test_tau_table_matches_vector_reference(seed):
             assert tau_table(vec, "kp", w, odd_only) == _vector_tau_table(
                 vec, "kp", w, odd_only
             ), (w, odd_only)
+
+
+# -- test-only references: the Fraction exp loop and the mode-op chain ------
+
+
+def _chain_apply_quadratic(op, vec, cutoff2):
+    """``op * vec`` through ``apply_mode_ops``, one ``Fraction`` per term."""
+    out = {}
+    clipped = False
+    for state, c in vec.items():
+        for (a_ins, a, b_ins, b), k in op.mode_terms():
+            res = apply_mode_ops(state, (("+" if a_ins else "-", a),
+                                         ("+" if b_ins else "-", b)))
+            if res is None:
+                continue
+            new, sign = res
+            if energy2(new) > cutoff2:
+                clipped = True
+                continue
+            out[new] = out.get(new, F(0)) + c * k * sign
+    return {s: c for s, c in out.items() if c != 0}, clipped
+
+
+def _fraction_exp(ops, cutoff2):
+    """``exp(sum ops)|0>`` term by term over ``Fraction``.
+
+    Returns the vector and the last ``j`` with a nonzero term.
+    """
+    result = {VACUUM: F(1)}
+    term = {VACUUM: F(1)}
+    clipped = False
+    j = 0
+    while term:
+        j += 1
+        acc = {}
+        for op in ops:
+            part, clip = _chain_apply_quadratic(op, term, cutoff2)
+            clipped = clipped or clip
+            for s, c in part.items():
+                acc[s] = acc.get(s, F(0)) + c
+        term = {s: c / j for s, c in acc.items() if c != 0}
+        for s, c in term.items():
+            result[s] = result.get(s, F(0)) + c
+    return FockVector({s: c for s, c in result.items() if c != 0}, clipped), j - 1
+
+
+def _generators(b):
+    return (
+        ("phi", phi_phi_generator(b)),
+        ("kp", psi_generator_kp(bkp_to_kp(b))),
+        ("embedded", psi_generator_embedded(b)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_exp_matches_fraction_loop(seed):
+    b = random_affine_b(seed)
+    flags = set()
+    for cutoff2 in (6, needed_cutoff2(9)):
+        for form, ops in _generators(b):
+            got = exp_bilinear_vacuum(ops, cutoff2)
+            want, _ = _fraction_exp(ops, cutoff2)
+            assert got.coeffs == want.coeffs, (form, cutoff2)
+            assert got.clipped == want.clipped, (form, cutoff2)
+            flags.add(got.clipped)
+    assert True in flags  # cutoff2 = 6 clips every form on these seeds
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exp_iterations_within_proven_bound(seed):
+    b = random_affine_b(seed)
+    for cutoff2 in (6, 13, needed_cutoff2(9), needed_cutoff2(13)):
+        bound = (cutoff2 + isqrt(cutoff2)) // 2
+        assert exp_iteration_limit(cutoff2) == bound + 1
+        for form, ops in _generators(b):
+            _, last = _fraction_exp(ops, cutoff2)
+            assert last <= bound, (form, cutoff2, last)
+
+
+def test_exp_iteration_bound_leading_term_is_reached():
+    # psi_m psi*_{-(m+2)} moves a particle from mode m+2 down to m and
+    # raises E2 by 2, so the sea can be lowered one step at a time up to
+    # the cutoff: cutoff2 / 2 nonzero terms
+    ops = [psi_psi_star(m, -(m + 2), 1) for m in range(-15, 15, 2)]
+    for cutoff2 in (12, 13, 22):
+        _, last = _fraction_exp(ops, cutoff2)
+        assert last == cutoff2 // 2 < exp_iteration_limit(cutoff2)
+        assert exp_bilinear_vacuum(ops, cutoff2).coeffs == _fraction_exp(
+            ops, cutoff2
+        )[0].coeffs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_length_capped_log_is_the_full_log_restricted(seed):
+    b = random_affine_b(seed)
+    for w in (7, 15):
+        for tau in (
+            tau_coefficients_bkp(b, w),
+            tau_coefficients_kp(bkp_to_kp(b), min(w, 10)),
+        ):
+            full = poly_log(tau, w)
+            for n in range(1, 6):
+                capped = poly_log(tau, w, n)
+                assert capped == {k: v for k, v in full.items() if len(k) <= n}
+
+
+def _kernel_sequences(state, k):
+    """Every two-op sequence ``H^B_k`` and ``H_k`` can try on ``state``."""
+    k2 = 2 * k
+    imax = energy2(state) // 2 + k + 2
+    for i in range(-imax, imax + 1):
+        for lo_ins in (True, False):
+            for hi_ins in (True, False):
+                yield (lo_ins, -2 * i - 1 if lo_ins else 2 * i - 1,
+                       hi_ins, 2 * (i + k) - 1 if hi_ins else -2 * (i + k) - 1)
+    for mu in range(-2 * imax - 1, 2 * imax + 2, 2):
+        yield True, mu + k2, False, mu
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_mode_kernel_matches_mode_op_chain(seed):
+    b = random_affine_b(seed)
+    states = set()
+    for _, ops in _generators(b):
+        states |= set(exp_bilinear_vacuum(ops, needed_cutoff2(7)).coeffs)
+    for state in states:
+        for k in range(1, 16):
+            for a_ins, a, b_ins, b2 in _kernel_sequences(state, k):
+                ops = (("+" if a_ins else "-", a), ("+" if b_ins else "-", b2))
+                assert two_mode(state, a_ins, a, b_ins, b2) == apply_mode_ops(
+                    state, ops
+                ), (state, ops)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_states, st.booleans(), _modes2, st.booleans(), _modes2)
+def test_two_mode_kernel_matches_chain_on_random_states(state, a_ins, a, b_ins, b):
+    # covers a == b with either pair of kinds
+    ops = (("+" if a_ins else "-", a), ("+" if b_ins else "-", b))
+    assert two_mode(state, a_ins, a, b_ins, b) == apply_mode_ops(state, ops)
