@@ -279,11 +279,6 @@ def _apply_terms(terms, vec: dict, cutoff2: int):
     return {s: c for s, c in out.items() if c != 0}, clipped
 
 
-def apply_quadratic(op: QuadraticOp, vec: dict, cutoff2: int):
-    """``op * vec`` truncated to ``E2 <= cutoff2``; returns ``(dict, clipped)``."""
-    return _apply_terms(op.mode_terms(), vec, cutoff2)
-
-
 def _h_kp_image(state, k: int) -> dict:
     """``H_k |state>`` for ``k >= 1`` as ``new state -> +-1``.
 
@@ -339,28 +334,6 @@ def _h_b_image(state, k: int) -> dict:
             sign = -sign
         quarters[new] = quarters.get(new, 0) + sign
     return {s: q for s, q in quarters.items() if q}
-
-
-def _apply_image(image, k: int, vec: dict, unit: int) -> dict:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out: dict = {}
-    for state, c in vec.items():
-        for new, q in image(state, k).items():
-            val = c * Fraction(q, unit)
-            prev = out.get(new)
-            out[new] = val if prev is None else prev + val
-    return {s: c for s, c in out.items() if c != 0}
-
-
-def apply_h_kp(k: int, vec: dict) -> dict:
-    """``H_k`` for ``k >= 1``: moves one occupied mode up by ``k``."""
-    return _apply_image(_h_kp_image, k, vec, 1)
-
-
-def apply_h_b(k: int, vec: dict) -> dict:
-    """``H^B_k`` for ``k >= 1``; never raises energy, mixes charge by 0, +-2."""
-    return _apply_image(_h_b_image, k, vec, 4)
 
 
 class TruncationOverflow(RuntimeError):

@@ -20,12 +20,35 @@ and x_j when eps_j = -1, while sel'(j) picks the opposite flavor, so each
 of the 2k variables occurs in exactly one factor of every product.  That
 disjointness is what makes truncation easy: restricting every factor to
 the box |exponent| <= window already gives the exact product coefficients
-on that box, with no coupling between factors.  The ``clipped`` flag on
-the returned sides only propagates factor-level events (spec entries or
-t*t products falling outside a narrow window); kernel expansions are
-window-exact by construction.
+on that box, with no coupling between factors.
 
 ``lemma_side("RHS", ...)`` includes the 2^k prefactor.
+
+Factors.  Every factor is bivariate, so `_factor` builds f(a, b) or g(a, b)
+as a table {(p, q): coefficient} of the monomials a^p b^q on the box
+|p|, |q| <= W (W the window), straight from s, t and the kernels' closed
+forms:
+
+* s: an entry c at (m, n) gives f the terms 2c at (-m, -n) and -2c at
+  (-n, -m), and g the terms c and -c there;
+* t: an entry t_m gives f the terms 2 t_m at (-m, 0) and -2 t_m at
+  (0, -m), and g the term 2 t_m at (-m, 0) and -2 t_m t_n at (-m, -n) for
+  every entry t_n;
+* kernels, only when a and b carry different indices (sums over p = 1..W
+  unless marked):
+
+      f, a dominant:   1 + sum 2 (-1)^p a^-p b^p
+      f, b dominant:  -1 - sum 2 (-1)^p a^p b^-p
+      g, a dominant:       sum (-1)^p a^-p b^p
+      g, b dominant:      -sum_{p=0..W} (-1)^p a^p b^-p
+
+The kernel terms lie on the anti-diagonal p + q = 0 and run to |p| = W;
+cutting the infinite expansions there is the truncation itself and sets
+no flag.  The s and t terms have p, q <= 0 and leave the box exactly when
+an index of the spec exceeds W; that, and nothing else, sets ``clipped``
+on a factor of two distinct variables and on a side.  `eval_f` and
+`eval_g` place the same terms at the positions of a and b in a
+2k-variable Series, so f and g have one implementation.
 
 Contraction.  Both sides come from one exact engine, `_contract`.
 
@@ -73,13 +96,7 @@ from math import factorial, lcm
 from typing import Dict, Optional, Tuple
 
 from .affine import AffineB
-from .series import (
-    KernelKind,
-    Series,
-    Window,
-    expand_kernel,
-    uniform_window,
-)
+from .series import Series, Window, uniform_window
 
 ZERO = Fraction(0)
 
@@ -162,87 +179,89 @@ class VarRef:
         return 2 * (self.index - 1) + (1 if self.flavor == "y" else 0)
 
 
-def _monomials(nvars: int, window: Window, items) -> Series:
-    # items: iterable of (exps tuple, Fraction); drops out-of-window terms.
-    coeffs = {}
-    clipped = False
-    for exps, value in items:
-        if value == 0:
-            continue
-        if all(lo <= e <= hi for e, (lo, hi) in zip(exps, window)):
-            coeffs[exps] = coeffs.get(exps, ZERO) + value
-        else:
-            clipped = True
-    return Series(nvars, window, {k: v for k, v in coeffs.items() if v != 0},
-                  clipped=clipped)
+def _factor(which: str, spec: SeriesPairSpec, a: VarRef, b: VarRef,
+            window: int) -> Dict[Tuple[int, int], Fraction]:
+    """f(a, b) for "LHS", g(a, b) for "RHS", as ``{(p, q): coefficient}``
+    with p the exponent of ``a`` and q that of ``b``, on the box
+    |p|, |q| <= window (see the module docstring)."""
+    is_f = which == "LHS"
+    terms: Dict[Tuple[int, int], Fraction] = {}
 
+    def put(p, q, c):
+        if p >= -window and q >= -window:
+            terms[p, q] = terms.get((p, q), ZERO) + c
 
-def _t_series(spec: SeriesPairSpec, nvars: int, window: Window,
-              pos: int) -> Series:
-    items = []
-    for m, c in spec.t_entries.items():
-        e = [0] * nvars
-        e[pos] = -m
-        items.append((tuple(e), c))
-    return _monomials(nvars, window, items)
-
-
-def _s_series(spec: SeriesPairSpec, nvars: int, window: Window,
-              pos1: int, pos2: int) -> Series:
-    # s(u, v) = sum s_{m,n} (u^{-m} v^{-n} - u^{-n} v^{-m}); vanishes when
-    # both arguments are the same variable.
-    items = []
     for (m, n), c in spec.s_entries.items():
-        for em, en, cc in ((-m, -n, c), (-n, -m, -c)):
-            e = [0] * nvars
-            e[pos1] += em
-            e[pos2] += en
-            items.append((tuple(e), cc))
-    return _monomials(nvars, window, items)
+        put(-m, -n, 2 * c if is_f else c)
+        put(-n, -m, -2 * c if is_f else -c)
+    for m, c in spec.t_entries.items():
+        put(-m, 0, 2 * c)
+        if is_f:
+            put(0, -m, -2 * c)
+        else:
+            for n, d in spec.t_entries.items():
+                put(-m, -n, -2 * c * d)
+    if a.index != b.index:
+        # d = +1 when a dominates; the kernel terms sit at (-d p, d p).
+        d = 1 if a.index < b.index else -1
+        if is_f:
+            terms[0, 0] = Fraction(d)
+        for p in range(0 if d < 0 and not is_f else 1, window + 1):
+            terms[-d * p, d * p] = Fraction((2 if is_f else 1) * d * (-1) ** p)
+    return {pq: c for pq, c in terms.items() if c}
 
 
-def _ratio(nvars: int, window: Window, num: VarRef, other: VarRef) -> Series:
-    # num/(other + num), directional by lemma index; zero on equal indices.
-    return expand_kernel(
-        KernelKind.LEMMA_RATIO, nvars, window, num.position, other.position,
-        idx_i=num.index, idx_j=other.index,
-    )
+def _place(which: str, spec: SeriesPairSpec, a: VarRef, b: VarRef,
+           window: Window) -> Series:
+    # _factor's terms placed at the positions of a and b, which may be one
+    # variable (the exponents then add).  A term outside
+    # the window is dropped; an s or t term (p + q < 0) also sets the
+    # clipped flag, a kernel term (p + q = 0) does not, because the kernel
+    # is expanded only as far as the window reaches.
+    bound = max(max(-lo, hi) for lo, hi in window)
+    nvars = len(window)
+    coeffs: dict = {}
+    clipped = spec.max_index > bound
+    for (p, q), c in _factor(which, spec, a, b, bound).items():
+        e = [0] * nvars
+        e[a.position] += p
+        e[b.position] += q
+        if all(lo <= x <= hi for x, (lo, hi) in zip(e, window)):
+            e = tuple(e)
+            coeffs[e] = coeffs.get(e, ZERO) + c
+        elif p + q < 0:
+            clipped = True
+    return Series(nvars, window, {e: c for e, c in coeffs.items() if c},
+                  _markers([(a, b)]), clipped)
+
+
+def _markers(pairs) -> dict:
+    # Direction marker of each kernel piece: the smaller index dominates.
+    markers = {}
+    for a, b in pairs:
+        if a.index != b.index:
+            dom = a if a.index < b.index else b
+            markers[min(a.position, b.position),
+                    max(a.position, b.position)] = dom.position
+    return markers
 
 
 def eval_f(spec: SeriesPairSpec, arg1: VarRef, arg2: VarRef,
            window: Window) -> Series:
     """f(arg1, arg2) = 2s + 2t(arg1) - 2t(arg2) + (arg1 - arg2)/(arg1 + arg2)."""
-    nvars = len(window)
-    p1, p2 = arg1.position, arg2.position
-    out = _s_series(spec, nvars, window, p1, p2).scale(2)
-    out = out.add(_t_series(spec, nvars, window, p1).scale(2))
-    out = out.sub(_t_series(spec, nvars, window, p2).scale(2))
-    if arg1.index != arg2.index:
-        out = out.add(_ratio(nvars, window, arg1, arg2))
-        out = out.sub(_ratio(nvars, window, arg2, arg1))
-    return out
+    return _place("LHS", spec, arg1, arg2, window)
 
 
 def eval_g(spec: SeriesPairSpec, arg1: VarRef, arg2: VarRef,
            window: Window) -> Series:
     """g(arg1, arg2) = s + 2t(arg1)(1 - t(arg2)) - arg2/(arg1 + arg2)."""
-    nvars = len(window)
-    p1, p2 = arg1.position, arg2.position
-    t1 = _t_series(spec, nvars, window, p1)
-    out = _s_series(spec, nvars, window, p1, p2)
-    out = out.add(t1.scale(2))
-    out = out.sub(t1.mul(_t_series(spec, nvars, window, p2)).scale(2))
-    if arg1.index != arg2.index:
-        out = out.sub(_ratio(nvars, window, arg2, arg1))
-    return out
+    return _place("RHS", spec, arg1, arg2, window)
 
 
-def _factor_table(which: str, k: int, spec: SeriesPairSpec, window: Window):
-    # Factor for cycle step j1 -> j2 under signs (e1, e2): the first slot
-    # takes y_{j1} for e1 = +1 (x_{j1} otherwise), the second slot the
-    # opposite flavor of j2.  Only steps a chain takes are built.
-    evaluate = eval_f if which == "LHS" else eval_g
-    table = {}
+def _steps(k: int):
+    # Cycle step j1 -> j2 under signs (e1, e2): the first slot takes y_{j1}
+    # for e1 = +1 (x_{j1} otherwise), the second slot the opposite flavor
+    # of j2.  Only steps a chain takes are listed.
     for j1 in range(1, k + 1):
         for j2 in range(1, k + 1):
             if j1 != j2 or k == 1:
@@ -251,8 +270,12 @@ def _factor_table(which: str, k: int, spec: SeriesPairSpec, window: Window):
                         continue  # k = 1 closes on index 1 with its own sign
                     a = VarRef(j1, "y" if e1 == 1 else "x")
                     b = VarRef(j2, "x" if e2 == 1 else "y")
-                    table[j1, j2, e1, e2] = evaluate(spec, a, b, window)
-    return table
+                    yield (j1, j2, e1, e2), a, b
+
+
+def _factor_table(which: str, k: int, spec: SeriesPairSpec, window: int):
+    return {step: _factor(which, spec, a, b, window)
+            for step, a, b in _steps(k)}
 
 
 # Largest estimate of chain products a lemma check takes on (see the module
@@ -287,7 +310,7 @@ def _validate(k: int, spec: SeriesPairSpec, window: int) -> None:
 
 def _denominator(table) -> int:
     return lcm(1, *(c.denominator for fac in table.values()
-                    for c in fac.coeffs.values()))
+                    for c in fac.values()))
 
 
 def _contract(table, k: int, window: int, common: int, scale: int,
@@ -304,9 +327,9 @@ def _contract(table, k: int, window: int, common: int, scale: int,
         pb = 2 * (j2 - 1) + (0 if e2 == 1 else 1)
         wa, wb = weight[pa], weight[pb]
         factors[j1 - 1, j2 - 1, e1, e2] = [
-            ((e[pa] + window) * wa + (e[pb] + window) * wb,
+            ((p + window) * wa + (q + window) * wb,
              e2 * c.numerator * (common // c.denominator))
-            for e, c in fac.coeffs.items()
+            for (p, q), c in fac.items()
         ]
     for e0 in (1, -1):
         layer = {(1, 0, e0): {0: scale}}
@@ -356,14 +379,7 @@ def lemma_side(which: str, k: int, spec: SeriesPairSpec,
         raise ValueError(f"side must be LHS or RHS, got {which!r}")
     _validate(k, spec, window)
     nvars = 2 * k
-    win = uniform_window(nvars, -window, window)
-    factors = _factor_table(which, k, spec, win)
-    markers: dict = {}
-    clipped = False
-    for fac in factors.values():
-        for pair, dom in fac.markers.items():
-            markers[pair] = dom  # index-keyed dominance cannot conflict
-        clipped = clipped or fac.clipped
+    factors = _factor_table(which, k, spec, window)
     common = _denominator(factors)
     acc: Dict[int, int] = {}
     _contract(factors, k, window, common, 2 ** k if which == "RHS" else 1,
@@ -371,7 +387,9 @@ def lemma_side(which: str, k: int, spec: SeriesPairSpec,
     den = common ** k
     coeffs = {_decode(key, k, window): Fraction(v, den)
               for key, v in acc.items() if v}
-    return Series(nvars, win, coeffs, markers, clipped)
+    return Series(nvars, uniform_window(nvars, -window, window), coeffs,
+                  _markers((a, b) for _, a, b in _steps(k)),
+                  spec.max_index > window)
 
 
 def check_lemma(k: int, spec: SeriesPairSpec, window: int = 6) -> bool:
@@ -384,9 +402,8 @@ def first_lemma_difference(
 ) -> Optional[Tuple[tuple, Fraction, Fraction]]:
     """Smallest differing monomial between the two sides, or None."""
     _validate(k, spec, window)
-    win = uniform_window(2 * k, -window, window)
-    lhs = _factor_table("LHS", k, spec, win)
-    rhs = _factor_table("RHS", k, spec, win)
+    lhs = _factor_table("LHS", k, spec, window)
+    rhs = _factor_table("RHS", k, spec, window)
     common = lcm(_denominator(lhs), _denominator(rhs))
     acc: Dict[int, int] = {}
     _contract(lhs, k, window, common, 1, acc)
@@ -408,12 +425,9 @@ def instantiate_from_affine(b: AffineB) -> SeriesPairSpec:
     """
     s_entries = {}
     t_entries = {}
-    for m in range(1, b.max_index + 1):
-        value = b.get(m, 0)
-        if value != 0:
+    for (m, n), value in sorted(b.entries.items()):
+        if m >= 1 and n == 0:
             t_entries[m] = value
-        for n in range(m + 1, b.max_index + 1):
-            value = b.get(m, n)
-            if value != 0:
-                s_entries[m, n] = 2 * value
+        elif 1 <= m < n:
+            s_entries[m, n] = 2 * value
     return SeriesPairSpec(s_entries, t_entries)

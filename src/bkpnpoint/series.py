@@ -22,11 +22,9 @@ requested window (no approximation inside the window).
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Window = tuple[tuple[int, int], ...]
 
@@ -162,15 +160,6 @@ class Series:
 
     # -- structural operations ----------------------------------------
 
-    def substitute_sign(self, var: int, sign: int) -> "Series":
-        """Replace ``z_var -> sign * z_var`` with ``sign`` in ``{1, -1}``."""
-        if sign == 1:
-            return self
-        if sign != -1:
-            raise ValueError("sign must be +1 or -1")
-        coeffs = {e: (-c if e[var] & 1 else c) for e, c in self.coeffs.items()}
-        return Series(self.nvars, self.window, coeffs, dict(self.markers), self.clipped)
-
     def shift(self, exps) -> "Series":
         """Multiply by the monomial ``prod z_v^{exps[v]}`` (window kept)."""
         exps = tuple(exps)
@@ -232,30 +221,10 @@ def _inside(exps, window) -> bool:
     return True
 
 
-def series_equal_on(a: Series, b: Series, box: Window) -> bool:
-    """Coefficientwise equality on the box (must lie inside both windows)."""
-    for e in _box_iter(box):
-        if a.coefficient(e) != b.coefficient(e):
-            return False
-    return True
-
-
-def _box_iter(box: Window):
-    if not box:
-        yield ()
-        return
-    (lo, hi), rest = box[0], box[1:]
-    for e in range(lo, hi + 1):
-        for tail in _box_iter(rest):
-            yield (e,) + tail
-
-
 class KernelKind(enum.Enum):
     """Closed-form kernels with one expansion rule per variable ordering."""
 
     INV_DIFF = "inv_diff"          # 1/(u - v)
-    INV_DIFF_SQ = "inv_diff_sq"    # 1/(u - v)^2
-    INV_SUM = "inv_sum"            # 1/(u + v)^power
     GEOM_TAIL = "geom_tail"        # sum_{k>=1} (-1)^k u^{-k} v^k
     KP_DELTA = "kp_delta"          # (1/2) sum_{n>=0} (2n+1) u^{-2n-2} v^{2n}
     BKP_DELTA = "bkp_delta"        # (1/2) sum_{n>=0} (2n+1) u^{-2n-1} v^{2n+1}
@@ -271,7 +240,6 @@ def expand_kernel(
     sign_i: int = 1,
     sign_j: int = 1,
     *,
-    power: int = 1,
     idx_i: int | None = None,
     idx_j: int | None = None,
 ) -> Series:
@@ -322,48 +290,6 @@ def expand_kernel(
             terms = [
                 (k, -1 - k, -(sign_j ** (k + 1)) * sign_i**k)
                 for k in krange(window[j][0], 1, 0, window[i][1])
-            ]
-            dom = j
-    elif kind is KernelKind.INV_DIFF_SQ:
-        if ia < ja:
-            terms = [
-                (-2 - k, k, (k + 1) * (sign_i * sign_j) ** k)
-                for k in krange(window[i][0], 2, 0, window[j][1])
-            ]
-            dom = i
-        else:
-            terms = [
-                (k, -2 - k, (k + 1) * (sign_i * sign_j) ** k)
-                for k in krange(window[j][0], 2, 0, window[i][1])
-            ]
-            dom = j
-    elif kind is KernelKind.INV_SUM:
-        if power < 1:
-            raise ValueError("power must be >= 1")
-        if ia < ja:
-            terms = [
-                (
-                    -power - k,
-                    k,
-                    (-1) ** k
-                    * math.comb(power + k - 1, k)
-                    * sign_i ** (power + k)
-                    * sign_j**k,
-                )
-                for k in krange(window[i][0], power, 0, window[j][1])
-            ]
-            dom = i
-        else:
-            terms = [
-                (
-                    k,
-                    -power - k,
-                    (-1) ** k
-                    * math.comb(power + k - 1, k)
-                    * sign_j ** (power + k)
-                    * sign_i**k,
-                )
-                for k in krange(window[j][0], power, 0, window[i][1])
             ]
             dom = j
     elif kind is KernelKind.GEOM_TAIL:

@@ -197,6 +197,17 @@ def test_verify_coords_instance(capsys, one_entry_coords):
     assert code == 0
 
 
+def test_verify_lemma_huge_index_runs_at_once(capsys, tmp_path):
+    # the dense conversion would visit 10^8 index pairs
+    coords = write_coords(tmp_path / "huge.json",
+                          [[10**4, 0, "1"], [10**4, 3, "1/2"], [2, 1, "1"]])
+    code, doc = run_json(capsys, [
+        "verify", "--check", "lemma", "--coords", coords, "--k", "2",
+    ])
+    assert code == 0
+    assert doc["passed"] is True
+
+
 def test_verify_suite_small(capsys):
     code, doc = run_json(capsys, [
         "verify", "--suite", "full", "--seed", "5", "--count", "1",
@@ -221,9 +232,11 @@ def test_verify_failure_reported(capsys, monkeypatch):
 def test_verify_lemma_failure_names_monomial(capsys, monkeypatch):
     # g built from another spec breaks the identity
     other = lemma.validate_pair_spec({(1, 3): 1}, {2: Fraction(1, 2)})
-    eval_g = lemma.eval_g
-    monkeypatch.setattr(lemma, "eval_g",
-                        lambda spec, a, b, win: eval_g(other, a, b, win))
+    factor = lemma._factor
+    monkeypatch.setattr(
+        lemma, "_factor",
+        lambda which, spec, a, b, w: factor(
+            which, other if which == "RHS" else spec, a, b, w))
     code, doc = run_json(capsys, [
         "verify", "--check", "lemma", "--count", "1", "--k", "2",
     ])

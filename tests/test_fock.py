@@ -11,10 +11,10 @@ from bkpnpoint.affine import AffineKP, bkp_to_kp, validate_b
 from bkpnpoint.fock import (
     VACUUM,
     FockVector,
-    apply_h_b,
-    apply_h_kp,
+    _apply_terms,
+    _h_b_image,
+    _h_kp_image,
     apply_mode_ops,
-    apply_quadratic,
     charge,
     check_square_relation,
     check_state_equality,
@@ -42,20 +42,20 @@ F = Fraction
 
 
 def test_hamiltonians_annihilate_vacuum():
-    vac = {VACUUM: F(1)}
     for k in (1, 2, 3, 4):
-        assert apply_h_kp(k, vac) == {}
-        assert apply_h_b(k, vac) == {}
+        assert _h_kp_image(VACUUM, k) == {}
+        assert _h_b_image(VACUUM, k) == {}
 
 
 def test_h_kp_moves_particle_to_vacuum():
     state = ((-1,), (1,))  # z^{-1/2} occupied, z^{1/2} vacated
     assert energy2(state) == 2 and charge(state) == 0
-    assert apply_h_kp(1, {state: F(1)}) == {VACUUM: F(1)}
+    assert _h_kp_image(state, 1) == {VACUUM: 1}
 
 
 def test_phi_phi_on_vacuum_frozen():
-    res, clipped = apply_quadratic(phi_phi(0, 1, 1), {VACUUM: F(1)}, 10)
+    res, clipped = _apply_terms(phi_phi(0, 1, 1).mode_terms(),
+                                {VACUUM: F(1)}, 10)
     assert not clipped
     assert res == {
         ((-3, -1), ()): F(-1, 2),
@@ -66,12 +66,12 @@ def test_phi_phi_on_vacuum_frozen():
 def test_phi_phi_antisymmetric_combination_pairs_to_minus_one():
     # <0| H^B_1 (phi_0 phi_1 - phi_1 phi_0) |0> = -1
     vac = {VACUUM: F(1)}
-    a, _ = apply_quadratic(phi_phi(0, 1, 1), vac, 10)
-    c, _ = apply_quadratic(phi_phi(1, 0, -1), vac, 10)
+    a, _ = _apply_terms(phi_phi(0, 1, 1).mode_terms(), vac, 10)
+    c, _ = _apply_terms(phi_phi(1, 0, -1).mode_terms(), vac, 10)
     vec = dict(a)
     for s, v in c.items():
         vec[s] = vec.get(s, F(0)) + v
-    assert apply_h_b(1, vec).get(VACUUM) == -1
+    assert _apply_h_b(1, vec).get(VACUUM) == -1
 
 
 _modes2 = st.sampled_from([-7, -5, -3, -1, 1, 3, 5, 7])
@@ -219,7 +219,30 @@ def test_poly_mul_merges_and_truncates():
     assert poly_mul(p, p, 1) == {(): F(1), (1,): F(4)}
 
 
-# -- test-only references: the operator scan and the Fraction-vector DFS ----
+# -- test-only references: the operator scans and the Fraction-vector DFS ---
+
+
+def _apply_h_b(k, vec):
+    """``H^B_k`` on a ``Fraction`` vector through the program's images."""
+    out = {}
+    for state, c in vec.items():
+        for new, q in _h_b_image(state, k).items():
+            out[new] = out.get(new, F(0)) + c * F(q, 4)
+    return {s: c for s, c in out.items() if c != 0}
+
+
+def _scan_apply_h_kp(k, vec):
+    """``H_k`` trying ``mu -> mu + 2k`` on every mode ``|mu| <= E2 + 3``."""
+    out = {}
+    for state, c in vec.items():
+        top = energy2(state) // 2 + 1
+        for mu in range(-2 * top - 1, 2 * top + 2, 2):
+            res = apply_mode_ops(state, (("+", mu + 2 * k), ("-", mu)))
+            if res is None:
+                continue
+            new, sign = res
+            out[new] = out.get(new, F(0)) + c * sign
+    return {s: c for s, c in out.items() if c != 0}
 
 
 def _scan_apply_h_b(k, vec):
@@ -251,7 +274,7 @@ def _scan_apply_h_b(k, vec):
 
 def _vector_tau_table(vec, hamiltonian, max_weight, odd_only):
     """Descending DFS applying the Hamiltonian to whole ``Fraction`` vectors."""
-    apply_h = {"kp": apply_h_kp, "b": _scan_apply_h_b}[hamiltonian]
+    apply_h = {"kp": _scan_apply_h_kp, "b": _scan_apply_h_b}[hamiltonian]
 
     def prune(v, rem):
         return {s: c for s, c in v.items() if energy2(s) <= 2 * rem + charge(s)}
@@ -287,17 +310,17 @@ def test_apply_h_b_matches_scan_on_oracle_states(seed):
     assert len(vec.coeffs) > 1
     for state in vec.coeffs:
         for k in range(1, 16):
-            assert apply_h_b(k, {state: F(1)}) == _scan_apply_h_b(
+            assert _apply_h_b(k, {state: F(1)}) == _scan_apply_h_b(
                 k, {state: F(1)}
             ), (state, k)
     for k in (1, 2, 5):
-        assert apply_h_b(k, vec.coeffs) == _scan_apply_h_b(k, vec.coeffs), k
+        assert _apply_h_b(k, vec.coeffs) == _scan_apply_h_b(k, vec.coeffs), k
 
 
 @settings(deadline=None, max_examples=150)
 @given(_states, st.integers(1, 15), st.fractions(max_denominator=9))
 def test_apply_h_b_matches_scan_on_random_states(state, k, c):
-    assert apply_h_b(k, {state: c}) == _scan_apply_h_b(k, {state: c})
+    assert _apply_h_b(k, {state: c}) == _scan_apply_h_b(k, {state: c})
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -21,7 +21,7 @@ from bkpnpoint.lemma import (
 )
 from bkpnpoint.npoint import compare_formulas, cycle_orders
 from bkpnpoint.sampling import random_affine_b, random_series_pair_spec
-from bkpnpoint.series import Series, series_equal_on, uniform_window
+from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
 
 F = Fraction
 W6 = uniform_window(4, -6, 6)
@@ -185,7 +185,9 @@ def test_window_restriction_consistency():
     for k in (1, 2):
         wide = lemma_side("LHS", k, spec, 6)
         narrow = lemma_side("LHS", k, spec, 3)
-        assert series_equal_on(wide, narrow, uniform_window(2 * k, -3, 3))
+        box = list(product(range(-3, 4), repeat=2 * k))
+        assert [wide.coefficient(e) for e in box] == \
+            [narrow.coefficient(e) for e in box]
 
 
 def test_flavor_swap_symmetry():
@@ -223,11 +225,131 @@ def test_instantiate_from_affine_frozen():
     assert spec.t_entries == {3: F(5)}
 
 
+def _dense_instantiate(b):
+    # the max_index^2 loop the sparse conversion replaced
+    s_entries = {}
+    t_entries = {}
+    for m in range(1, b.max_index + 1):
+        value = b.get(m, 0)
+        if value != 0:
+            t_entries[m] = value
+        for n in range(m + 1, b.max_index + 1):
+            value = b.get(m, n)
+            if value != 0:
+                s_entries[m, n] = 2 * value
+    return SeriesPairSpec(s_entries, t_entries)
+
+
+def test_instantiate_from_affine_matches_dense_loop():
+    instances = [random_affine_b(seed) for seed in range(200)]
+    instances.append(random_affine_b(0, max_index=6, density=0.6))
+    for b in instances:
+        assert instantiate_from_affine(b) == _dense_instantiate(b)
+
+
+def test_instantiate_from_affine_huge_index_converts_at_once():
+    # the dense index box would have 10^8 positions
+    spec = instantiate_from_affine(
+        validate_b([(10**4, 0, 1), (10**4, 3, F(1, 2)), (2, 1, 1)]))
+    assert spec.s_entries == {(1, 2): F(-2), (3, 10**4): F(-1)}
+    assert spec.t_entries == {10**4: F(1)}
+
+
 def test_instantiated_lemma_and_formulas_agree():
     for seed in (0, 4):
         b = random_affine_b(seed, max_index=3)
         assert check_lemma(2, instantiate_from_affine(b), 6)
         assert compare_formulas(b, 2, 5).tables_agree
+
+
+# -- the factors against the Series-chain reference ---------------------------
+
+
+def _monomials(nvars, window, items):
+    # items: iterable of (exps tuple, Fraction); drops out-of-window terms.
+    coeffs = {}
+    clipped = False
+    for exps, value in items:
+        if value == 0:
+            continue
+        if all(lo <= e <= hi for e, (lo, hi) in zip(exps, window)):
+            coeffs[exps] = coeffs.get(exps, F(0)) + value
+        else:
+            clipped = True
+    return Series(nvars, window, {k: v for k, v in coeffs.items() if v != 0},
+                  clipped=clipped)
+
+
+def _t_series(spec, nvars, window, pos):
+    items = []
+    for m, c in spec.t_entries.items():
+        e = [0] * nvars
+        e[pos] = -m
+        items.append((tuple(e), c))
+    return _monomials(nvars, window, items)
+
+
+def _s_series(spec, nvars, window, pos1, pos2):
+    items = []
+    for (m, n), c in spec.s_entries.items():
+        for em, en, cc in ((-m, -n, c), (-n, -m, -c)):
+            e = [0] * nvars
+            e[pos1] += em
+            e[pos2] += en
+            items.append((tuple(e), cc))
+    return _monomials(nvars, window, items)
+
+
+def _ratio(nvars, window, num, other):
+    # num/(other + num), directional by lemma index; zero on equal indices.
+    return expand_kernel(
+        KernelKind.LEMMA_RATIO, nvars, window, num.position, other.position,
+        idx_i=num.index, idx_j=other.index,
+    )
+
+
+def _chain_f(spec, arg1, arg2, window):
+    """f(arg1, arg2) by Series arithmetic on the 2k-variable window."""
+    nvars = len(window)
+    p1, p2 = arg1.position, arg2.position
+    out = _s_series(spec, nvars, window, p1, p2).scale(2)
+    out = out.add(_t_series(spec, nvars, window, p1).scale(2))
+    out = out.sub(_t_series(spec, nvars, window, p2).scale(2))
+    if arg1.index != arg2.index:
+        out = out.add(_ratio(nvars, window, arg1, arg2))
+        out = out.sub(_ratio(nvars, window, arg2, arg1))
+    return out
+
+
+def _chain_g(spec, arg1, arg2, window):
+    """g(arg1, arg2) by Series arithmetic on the 2k-variable window."""
+    nvars = len(window)
+    p1, p2 = arg1.position, arg2.position
+    t1 = _t_series(spec, nvars, window, p1)
+    out = _s_series(spec, nvars, window, p1, p2)
+    out = out.add(t1.scale(2))
+    out = out.sub(t1.mul(_t_series(spec, nvars, window, p2)).scale(2))
+    if arg1.index != arg2.index:
+        out = out.sub(_ratio(nvars, window, arg2, arg1))
+    return out
+
+
+def test_factors_match_series_chain_reference():
+    variables = [VarRef(i, f) for i in (1, 2, 3) for f in "xy"]
+    # uniform boxes, and one window that cuts the kernels unevenly
+    windows = [uniform_window(6, -w, w) for w in (0, 2, 3, 6)]
+    windows.append(((-3, 5), (-6, 2), (-4, 4), (-2, 6), (-5, 1), (0, 3)))
+    for seed in range(20):
+        spec = random_series_pair_spec(seed)
+        for win in windows:
+            for a, b in product(variables, repeat=2):
+                if a == b:
+                    continue
+                for got, want in ((eval_f(spec, a, b, win),
+                                   _chain_f(spec, a, b, win)),
+                                  (eval_g(spec, a, b, win),
+                                   _chain_g(spec, a, b, win))):
+                    _assert_same_side(got, want)
 
 
 # -- the contraction engine against the half enumeration ---------------------
@@ -238,13 +360,27 @@ def _swap_flavors(coeffs, nvars):
     return {tuple(e[p ^ 1] for p in range(nvars)): c for e, c in coeffs.items()}
 
 
+def _chain_steps(k):
+    # Every factor some chain takes: step j1 -> j2 under signs (e1, e2).
+    for order in cycle_orders(k):
+        for eps in product((1, -1), repeat=k):
+            for i in range(k):
+                j1, j2 = order[i], order[(i + 1) % k]
+                yield j1 + 1, j2 + 1, eps[j1], eps[j2]
+
+
 def _reference_side(which, k, spec, window):
     """One side by the plain product loop over cycles and sign vectors with
     eps_1 = +1; flipping every sign maps a term to its x<->y flavor swap
     times (-1)^k, which gives the other half."""
     nvars = 2 * k
     win = uniform_window(nvars, -window, window)
-    factors = lemma._factor_table(which, k, spec, win)
+    evaluate = eval_f if which == "LHS" else eval_g
+    factors = {
+        (j1, j2, e1, e2): evaluate(spec, VarRef(j1, "y" if e1 == 1 else "x"),
+                                   VarRef(j2, "x" if e2 == 1 else "y"), win)
+        for j1, j2, e1, e2 in set(_chain_steps(k))
+    }
     markers = {}
     clipped = False
     for fac in factors.values():
@@ -331,10 +467,11 @@ def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
                                                 other):
     # g built from a second spec breaks the identity but keeps the flavor
     # swap symmetry the half-enumeration reference relies on.
-    eval_g_orig = lemma.eval_g
+    factor = lemma._factor
     monkeypatch.setattr(
-        lemma, "eval_g",
-        lambda unused, a, b, win: eval_g_orig(other, a, b, win))
+        lemma, "_factor",
+        lambda which, given, a, b, w: factor(
+            which, other if which == "RHS" else given, a, b, w))
     lhs = _reference_side("LHS", k, spec, window)
     rhs = _reference_side("RHS", k, spec, window)
     diff = lhs.sub(rhs)
@@ -353,10 +490,9 @@ def test_factor_term_bound_holds(window):
     for seed in range(40):
         spec = random_series_pair_spec(seed)
         bound = lemma._factor_terms(spec, window)
-        win = uniform_window(6, -window, window)
         for which in ("LHS", "RHS"):
-            table = lemma._factor_table(which, 3, spec, win)
-            assert max(len(f.coeffs) for f in table.values()) <= bound
+            table = lemma._factor_table(which, 3, spec, window)
+            assert max(len(f) for f in table.values()) <= bound
 
 
 def test_cost_limit_admits_random_specs_up_to_k4():
