@@ -21,16 +21,20 @@ The two hierarchies are linked by
 * coordinates: ``a^KP_{m,n} = 2 (-1)^{m+1} (a_{m+1,n} + a_{m+1,0} a_{0,n})``
 * series: ``A^BKP(w, z) = (1/4) (z A^KP(w, -z) - w A^KP(z, -w))``
 
-and `check_gs_relation` verifies the series form coefficientwise.
+The coefficient rules of ``A^KP`` and ``A^BKP`` live only in `kp_terms` and
+`bkp_terms`; the series builders place their terms, `npoint` builds its
+factor tables from them, and `check_gs_relation` verifies the series form
+coefficientwise on two term tables ``{(x, y): c}``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import KernelKind, Series, expand_kernel, uniform_window
+from .series import KernelKind, Series, expand_kernel
 
 Window = tuple[tuple[int, int], ...]
 
@@ -123,6 +127,33 @@ def bkp_to_kp(b: AffineB) -> AffineKP:
 # -- generating series ----------------------------------------------------
 
 
+def kp_terms(kp: AffineKP):
+    """``(x, y, c)`` terms of ``A^KP(u, v) = sum c u^x v^y``."""
+    for (m, n), a in kp.entries.items():
+        yield -m - 1, -n - 1, a
+
+
+def bkp_terms(b: AffineB):
+    """``(x, y, c)`` terms of ``A^BKP(u, v) = sum c u^x v^y``."""
+    for (n, m), a in b.entries.items():
+        weight = (n >= 1) + (m >= 1)
+        if weight:
+            yield -n, -m, Fraction(weight * (-1) ** (m + n + 1), 2) * a
+
+
+def _place(terms, nvars, window, var_first, var_second, sign_first,
+           sign_second) -> Series:
+    """``sum c (s1 z_a)^x (s2 z_b)^y`` over ``(x, y, c)`` terms."""
+    total = Series.zero(nvars, window)
+    for x, y, c in terms:
+        exps = [0] * nvars
+        exps[var_first] += x
+        exps[var_second] += y
+        c *= sign_first ** -x * sign_second ** -y  # -x, -y >= 0: int powers
+        total = total.add(Series.monomial(nvars, window, exps, c))
+    return total
+
+
 def series_a_kp(
     kp: AffineKP,
     nvars: int,
@@ -133,14 +164,8 @@ def series_a_kp(
     sign_second: int = 1,
 ) -> Series:
     """``A^KP(s1 z_a, s2 z_b)``; the two slots may be the same variable."""
-    total = Series.zero(nvars, window)
-    for (m, n), a in sorted(kp.entries.items()):
-        exps = [0] * nvars
-        exps[var_first] += -m - 1
-        exps[var_second] += -n - 1
-        c = a * sign_first ** (m + 1) * sign_second ** (n + 1)
-        total = total.add(Series.monomial(nvars, window, exps, c))
-    return total
+    return _place(kp_terms(kp), nvars, window, var_first, var_second,
+                  sign_first, sign_second)
 
 
 def series_a_bkp(
@@ -153,23 +178,8 @@ def series_a_bkp(
     sign_second: int = 1,
 ) -> Series:
     """``A^BKP(s1 z_a, s2 z_b)``; the two slots may be the same variable."""
-    total = Series.zero(nvars, window)
-    for (n, m), a in sorted(b.entries.items()):
-        weight = (1 if n >= 1 else 0) + (1 if m >= 1 else 0)
-        if weight == 0:
-            continue
-        exps = [0] * nvars
-        exps[var_first] += -n
-        exps[var_second] += -m
-        c = (
-            Fraction(weight, 2)
-            * (-1) ** (m + n + 1)
-            * a
-            * sign_first**n
-            * sign_second**m
-        )
-        total = total.add(Series.monomial(nvars, window, exps, c))
-    return total
+    return _place(bkp_terms(b), nvars, window, var_first, var_second,
+                  sign_first, sign_second)
 
 
 def series_a_hat_kp(
@@ -182,21 +192,11 @@ def series_a_hat_kp(
     sign_second: int = 1,
 ) -> Series:
     """``hat A^KP``: adds the expanded ``1/(arg1 - arg2)`` off the diagonal."""
-    base = series_a_kp(
-        kp, nvars, window, var_first, var_second, sign_first, sign_second
-    )
+    slots = (var_first, var_second, sign_first, sign_second)
+    base = series_a_kp(kp, nvars, window, *slots)
     if var_first == var_second:
         return base
-    kernel = expand_kernel(
-        KernelKind.INV_DIFF,
-        nvars,
-        window,
-        var_first,
-        var_second,
-        sign_first,
-        sign_second,
-    )
-    return base.add(kernel)
+    return base.add(expand_kernel(KernelKind.INV_DIFF, nvars, window, *slots))
 
 
 def series_a_hat_bkp(
@@ -213,22 +213,13 @@ def series_a_hat_bkp(
     Off the diagonal the first variable must be the dominant (smaller) one;
     that is the only region where the tail converges as written.
     """
-    base = series_a_bkp(
-        b, nvars, window, var_first, var_second, sign_first, sign_second
-    )
+    slots = (var_first, var_second, sign_first, sign_second)
+    base = series_a_bkp(b, nvars, window, *slots)
     if var_first == var_second:
         return base
     if var_first > var_second:
         raise ValueError("hat A^BKP requires the first variable dominant")
-    tail = expand_kernel(
-        KernelKind.GEOM_TAIL,
-        nvars,
-        window,
-        var_first,
-        var_second,
-        sign_first,
-        sign_second,
-    )
+    tail = expand_kernel(KernelKind.GEOM_TAIL, nvars, window, *slots)
     quarter = Series.constant(nvars, window, Fraction(-1, 4))
     return base.add(quarter).add(tail.scale(Fraction(-1, 2)))
 
@@ -236,19 +227,19 @@ def series_a_hat_bkp(
 def check_gs_relation(b: AffineB, depth: int) -> bool:
     """``A^BKP(w,z) == (1/4)(z A^KP(w,-z) - w A^KP(z,-w))`` on the depth box.
 
-    Coefficients are compared for all exponent pairs in ``[-depth, 0]^2``.
+    Both sides are term tables ``{(x, y): c}`` of ``w^x z^y``, compared for
+    all exponent pairs in ``[-depth, 0]^2``.
     """
-    kp = bkp_to_kp(b)
-    window = uniform_window(2, -depth - 2, 1)
-    lhs = series_a_bkp(b, 2, window, 0, 1)
-    t1 = series_a_kp(kp, 2, window, 0, 1, 1, -1).shift((0, 1))
-    t2 = series_a_kp(kp, 2, window, 1, 0, 1, -1).shift((1, 0))
-    rhs = t1.sub(t2).scale(Fraction(1, 4))
-    for ew in range(-depth, 1):
-        for ez in range(-depth, 1):
-            if lhs.coefficient((ew, ez)) != rhs.coefficient((ew, ez)):
-                return False
-    return True
+    lhs, rhs = Counter(), Counter()
+    for x, y, c in bkp_terms(b):
+        lhs[x, y] += c
+    for x, y, c in kp_terms(bkp_to_kp(b)):
+        # z A^KP(w, -z) has c (-1)^y w^x z^(y+1); -w A^KP(z, -w) the mirror.
+        c = c * (-1) ** -y / 4  # y < 0, and (-1) ** y would be a float
+        rhs[x, y + 1] += c
+        rhs[y + 1, x] -= c
+    return all(lhs[e] == rhs[e] for e in lhs.keys() | rhs.keys()
+               if -depth <= min(e) and max(e) <= 0)
 
 
 # -- coordinate files ------------------------------------------------------

@@ -13,6 +13,7 @@ files (JSON with sorted keys, rationals rendered as "p/q" strings).
 import argparse
 import json
 import sys
+from functools import partial
 
 from .affine import bkp_to_kp, check_gs_relation, dump_affine_kp, load_affine_b
 from .fock import (
@@ -183,40 +184,35 @@ def _seeded_coords(args, count: int):
     ]
 
 
-def _check_gs(args):
-    depth = args.max_weight or 8
-    instances = _seeded_coords(args, args.count or 20)
-    params = {"depth": depth, "instances": len(instances)}
-    for label, b in instances:
-        if not check_gs_relation(b, depth):
-            return params, False, f"failed for instance {label}"
+def _default(value, default):
+    return default if value is None else value
+
+
+def _check_instances(name, args):
+    """A boolean check of one size on each instance: gs, square or state."""
+    # looked up per call, so that patched or traced bindings are used
+    check, label, size, count = {
+        "gs": (check_gs_relation, "depth", 8, 20),
+        "square": (check_square_relation, "max_weight", 8, 5),
+        "state": (check_state_equality, "cutoff", 8, 5),
+    }[name]
+    size = _default(args.max_weight, size)
+    instances = _seeded_coords(args, _default(args.count, count))
+    params = {label: size, "instances": len(instances)}
+    for where, b in instances:
+        if not check(b, size):
+            return params, False, f"failed for instance {where}"
     return params, True, None
 
 
-def _check_square(args):
-    weight = args.max_weight or 8
-    instances = _seeded_coords(args, args.count or 5)
-    params = {"max_weight": weight, "instances": len(instances)}
-    for label, b in instances:
-        if not check_square_relation(b, weight):
-            return params, False, f"failed for instance {label}"
-    return params, True, None
-
-
-def _check_state(args):
-    cutoff = args.max_weight or 8
-    instances = _seeded_coords(args, args.count or 5)
-    params = {"cutoff": cutoff, "instances": len(instances)}
-    for label, b in instances:
-        if not check_state_equality(b, cutoff):
-            return params, False, f"failed for instance {label}"
-    return params, True, None
+def _formula_sizes(args):
+    ns = (1, 2, 3) if args.n is None else (args.n,)
+    return _default(args.max_weight, 9), ns
 
 
 def _check_formulas(args):
-    weight = args.max_weight or 9
-    ns = (args.n,) if args.n else (1, 2, 3)
-    instances = _seeded_coords(args, args.count or 10)
+    weight, ns = _formula_sizes(args)
+    instances = _seeded_coords(args, _default(args.count, 10))
     params = {"max_weight": weight, "n": list(ns),
               "instances": len(instances)}
     for label, b in instances:
@@ -235,15 +231,14 @@ def _check_formulas(args):
 
 
 def _check_lemma(args):
-    window = args.window_cap or 6
-    ks = (args.k,) if args.k else (1, 2, 3)
+    window = _default(args.window_cap, 6)
+    ks = (1, 2, 3) if args.k is None else (args.k,)
     if args.coords:
         specs = [("file", instantiate_from_affine(load_affine_b(args.coords)))]
     else:
-        count = args.count or 20
         specs = [
             (args.seed + i, random_series_pair_spec(args.seed + i))
-            for i in range(count)
+            for i in range(_default(args.count, 20))
         ]
     params = {"window": window, "k": list(ks), "instances": len(specs)}
     for label, spec in specs:
@@ -259,16 +254,31 @@ def _check_lemma(args):
 
 
 _CHECKS = {
-    "gs": _check_gs,
-    "square": _check_square,
-    "state": _check_state,
+    "gs": partial(_check_instances, "gs"),
+    "square": partial(_check_instances, "square"),
+    "state": partial(_check_instances, "state"),
     "formulas": _check_formulas,
     "lemma": _check_lemma,
 }
 
 
+def _refuse_sizes(args, names) -> None:
+    """Raise ``ValueError`` on a size no check can run with."""
+    for flag, value, least in (
+        ("--count", args.count, 1), ("--n", args.n, 1), ("--k", args.k, 1),
+        ("--weight", args.max_weight, 1), ("--window-cap", args.window_cap, 0),
+    ):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+    weight, ns = _formula_sizes(args)
+    if "formulas" in names and weight < max(ns):
+        raise ValueError(f"max weight {weight} must be at least n = {max(ns)} "
+                         "for the formulas check (indices are odd >= 1)")
+
+
 def cmd_verify(args) -> int:
     names = list(_CHECKS) if args.suite else [args.check]
+    _refuse_sizes(args, names)
     checks = []
     all_passed = True
     for name in names:

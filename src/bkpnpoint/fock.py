@@ -345,9 +345,6 @@ class FockVector:
     coeffs: dict
     clipped: bool = False
 
-    def vacuum_coefficient(self) -> Fraction:
-        return self.coeffs.get(VACUUM, ZERO)
-
 
 def exp_bilinear_vacuum(ops, cutoff2: int) -> FockVector:
     """``exp(sum ops)|0>`` truncated to ``E2 <= cutoff2``.

@@ -41,8 +41,7 @@ Truncation policy: exponent floor ``lo = -(max_weight + 2)``; positive cap
 ``hi = max_weight + nvars * (max_degree + 2)`` where ``max_degree`` bounds
 the deepest coordinate exponent; `cap_scale` rescales the cap to certify
 that reported coefficients are truncation-stable.  Every factor keeps only
-the terms whose exponents (both of them; their sum for the n = 1 diagonal
-factor) lie in ``[lo, hi]``.
+the terms whose exponents (both of them) lie in ``[lo, hi]``.
 
 Factors.  A factor touches two variables, and for every route it depends
 only on whether its step goes up (``a < b``) or down (``a > b``), because
@@ -50,11 +49,14 @@ the smaller variable dominates every kernel expansion.  So a call builds
 two bivariate tables ``{p: ((q, c), ...)}``, ``p`` the exponent of ``z_a``
 and ``q`` that of ``z_b``, straight from the coordinates and the closed
 forms ``1/(u - v) = sum_{k>=0} u^{-1-k} v^k`` (u dominant), the constant
-``-1/4`` and the geometric tail of ``hat A^BKP``; n = 1 has one univariate
-diagonal factor instead.  All coefficients are integers over the lcm of
-the factor denominators.  The n = 2 delta kernels are not built: every
-term of them has a nonnegative exponent of ``z_1``, so they vanish on the
-reported box.
+``-1/4`` and the geometric tail of ``hat A^BKP`` (coordinate terms from
+`affine.kp_terms`/`bkp_terms`).  For n = 1 the diagonal ``A^KP(z, z)`` or
+``A^BKP(z, -z)`` is one such table, passed as both step tables: the DP
+below has no growth step and its closing step sums ``p + q``; exact, since
+both exponents of a diagonal term are ``<= 0``.  All coefficients are
+integers over the lcm of the factor denominators.  The n = 2 delta
+kernels are not built: every term of them has a nonnegative exponent of
+``z_1``, so they vanish on the reported box.
 
 Sign sums as parity projections.  Every factor depends on ``eps`` only
 through the substitution ``z_v -> eps_v z_v``, which multiplies the
@@ -71,7 +73,8 @@ This is exact for every truncation window, since clipping acts per monomial
 and the substitution never moves one.  A table key already has the kept
 parities, so the projection costs nothing: a coefficient of another parity
 is 0 without any work, and one of the kept parity is the scaled cycle sum
-at ``eps = 1``.
+at ``eps = 1``.  A route keeps the same parity in every variable (even,
+odd, or both for the KP series), so a `CycleSum` takes one ``parity`` value.
 
 Per-key contraction (a Held-Karp subset DP, Held & Karp 1962).  The
 coefficient of ``z^e`` in the cycle sum at ``eps = 1`` sums, over the cycles
@@ -97,11 +100,12 @@ asserts the permutation symmetry of every table.
 
 Cost limit.  A run visits at most ``2^{n-1} (n-1) (hi - lo + 1)`` states
 and extends each by at most one factor's terms, ``hi - lo + 2`` plus the
-number of coordinate entries.  The routes multiply these bounds by the
-number of tails `npoint_table` reads and refuse, with ``ValueError``, an
-estimate above `MAX_CYCLE_WORK`, before any factor table is built;
-`compare_formulas` does the same for the tails of its raw relation.  The
-Fock-space oracle has no such limit.
+number of coordinate entries (n = 1 has only the closing step, one pass
+over the diagonal table, and is never refused).  The routes multiply these
+bounds by the number of tails `npoint_table` reads and refuse, with
+``ValueError``, an estimate above `MAX_CYCLE_WORK`, before any factor table
+is built; `compare_formulas` does the same for the tails of its raw
+relation.  The Fock-space oracle has no such limit.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb, lcm
 
-from .affine import AffineB, AffineKP, bkp_to_kp
+from .affine import AffineB, AffineKP, bkp_terms, bkp_to_kp, kp_terms
 from .fock import odd_tuples
 from .series import WindowError
 
@@ -199,40 +203,28 @@ def _factor_table(terms, lo: int, hi: int) -> dict:
     return {exps: c for exps, c in table.items() if c}
 
 
-def _a_kp(kp: AffineKP):
-    """``(x, y, c)`` terms of ``A^KP(u, v) = sum c u^x v^y``."""
-    for (m, n), a in kp.entries.items():
-        yield -m - 1, -n - 1, a
-
-
-def _a_bkp(b: AffineB):
-    """``(x, y, c)`` terms of ``A^BKP(u, v) = sum c u^x v^y``."""
-    for (n, m), a in b.entries.items():
-        weight = (n >= 1) + (m >= 1)
-        if weight:
-            yield -n, -m, Fraction(weight * (-1) ** (m + n + 1), 2) * a
-
-
 def _kp_factors(kp: AffineKP, n: int, lo: int, hi: int) -> tuple:
-    """Factor tables of ``hat A^KP(z_a, z_b)``: up and down, or diagonal."""
+    """Up and down factor tables of ``hat A^KP(z_a, z_b)``; for n = 1 the
+    diagonal ``A^KP(z, z)`` is both."""
+    terms = [((x, y), c) for x, y, c in kp_terms(kp)]
     if n == 1:
-        terms = (((x + y,), c) for x, y, c in _a_kp(kp))
-        return (_factor_table(terms, lo, hi),)
+        diagonal = _factor_table(terms, lo, hi)
+        return diagonal, diagonal
     kernel = range(hi + 1)  # 1/(z_a - z_b), the smaller variable dominant
-    up = [((x, y), c) for x, y, c in _a_kp(kp)]
-    down = list(up)
-    up += [((-1 - k, k), 1) for k in kernel]
-    down += [((k, -1 - k), -1) for k in kernel]
+    up = terms + [((-1 - k, k), 1) for k in kernel]
+    down = terms + [((k, -1 - k), -1) for k in kernel]
     return _factor_table(up, lo, hi), _factor_table(down, lo, hi)
 
 
 def _bkp_factors(b: AffineB, n: int, lo: int, hi: int) -> tuple:
-    """Factor tables of the wangyang steps: up and down, or diagonal."""
-    if n == 1:  # A^BKP(z, -z)
-        terms = (((x + y,), -c if y & 1 else c) for x, y, c in _a_bkp(b))
-        return (_factor_table(terms, lo, hi),)
+    """Up and down factor tables of the wangyang steps; for n = 1 the
+    diagonal ``A^BKP(z, -z)`` is both."""
+    if n == 1:
+        terms = (((x, y), -c if y & 1 else c) for x, y, c in bkp_terms(b))
+        diagonal = _factor_table(terms, lo, hi)
+        return diagonal, diagonal
     # hat A^BKP(u, v) = A^BKP(u, v) - 1/4 - (1/2) sum_{k>=1} (-1)^k u^-k v^k
-    hat = list(_a_bkp(b))
+    hat = list(bkp_terms(b))
     hat.append((0, 0, Fraction(-1, 4)))
     hat += [(-k, k, Fraction((-1) ** (k + 1), 2)) for k in range(1, hi + 1)]
     # up: hat A^BKP(z_a, -z_b); down: -hat A^BKP(-z_b, z_a)
@@ -255,23 +247,19 @@ def _rows(table: dict, den: int) -> dict:
 class CycleSum:
     """Coefficients of one closed cycle formula on the all-negative box.
 
-    ``factors`` are the up and down tables (the diagonal one for n = 1),
-    ``scale`` multiplies the cycle sum at ``eps = 1``, and ``parity[v]`` is
-    the kept exponent parity of ``z_v`` (``None`` keeps both).  With
-    ``head_checked`` the parity of ``z_0`` is asserted on every column
-    rather than projected.  See the module docstring.
+    ``factors`` are the up and down tables (for n = 1 the diagonal table,
+    twice), ``scale`` multiplies the cycle sum at ``eps = 1``, and
+    ``parity`` is the kept exponent parity of every variable (``None``
+    keeps both).  With ``head_checked`` the parity of ``z_0`` is asserted on
+    every column rather than projected.  See the module docstring.
     """
 
     def __init__(self, nvars: int, window: Window, factors: tuple, scale,
-                 parity: tuple, head_checked: bool = False):
+                 parity: int | None, head_checked: bool = False):
         self.nvars = nvars
         self.window = tuple((lo, min(hi, -1)) for lo, hi in window)
         den = lcm(1, *(c.denominator for t in factors for c in t.values()))
-        if nvars == 1:
-            self._diagonal = {e: c.numerator * (den // c.denominator)
-                              for (e,), c in factors[0].items()}
-        else:
-            self._up, self._down = (_rows(t, den) for t in factors)
+        self._up, self._down = (_rows(t, den) for t in factors)
         self._scale = Fraction(scale) / den ** nvars
         self._parity = parity
         self._head_checked = head_checked
@@ -285,9 +273,9 @@ class CycleSum:
             if not lo <= e <= hi:
                 raise WindowError(
                     f"exponent {exps} outside window {self.window}")
-        for e, want in zip(exps[1:], self._parity[1:]):
-            if want is not None and e % 2 != want:
-                return ZERO
+        want = self._parity
+        if want is not None and any(e % 2 != want for e in exps[1:]):
+            return ZERO
         tail = exps[1:]
         column = self._columns.get(tail)
         if column is None:
@@ -296,12 +284,8 @@ class CycleSum:
 
     def _column(self, tail: tuple) -> dict:
         """``{e_0: coefficient}`` for one tail, every ``e_0`` at once."""
-        lo, top = self.window[0]
-        if self.nvars == 1:
-            acc = {e: c for e, c in self._diagonal.items() if e <= top}
-        else:
-            acc = self._contract((0,) + tail, lo, top)
-        want = self._parity[0]
+        acc = self._contract((0,) + tail, *self.window[0])
+        want = self._parity
         if self._head_checked:
             for e0, v in acc.items():
                 if v and e0 % 2 != want:
@@ -364,7 +348,7 @@ def kp_npoint(
     window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
     _check_work(n, window, len(kp.entries), _table_tails(n, max_weight, 1))
     factors = _kp_factors(kp, n, *window[0])
-    return CycleSum(n, window, factors, (-1) ** (n - 1), (None,) * n)
+    return CycleSum(n, window, factors, (-1) ** (n - 1), None)
 
 
 def embedded_npoint_series(
@@ -382,8 +366,7 @@ def embedded_npoint_series(
     window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
     _check_work(n, window, len(kp.entries), _table_tails(n, max_weight, 2))
     factors = _kp_factors(kp, n, *window[0])
-    return CycleSum(n, window, factors, Fraction((-1) ** (n - 1), 2),
-                    (0,) * n)
+    return CycleSum(n, window, factors, Fraction((-1) ** (n - 1), 2), 0)
 
 
 def wangyang_npoint_series(
@@ -400,8 +383,7 @@ def wangyang_npoint_series(
     window = standard_window(n, max_weight, _b_degree(b), cap_scale, pos_cap)
     _check_work(n, window, len(b.entries), _table_tails(n, max_weight, 2))
     factors = _bkp_factors(b, n, *window[0])
-    return CycleSum(n, window, factors, -(2 ** (n - 1)), (1,) * n,
-                    head_checked=True)
+    return CycleSum(n, window, factors, -(2 ** (n - 1)), 1, head_checked=True)
 
 
 # -- tables ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from bkpnpoint.affine import (
     validate_b,
 )
 from bkpnpoint.sampling import random_affine_b
-from bkpnpoint.series import uniform_window
+from bkpnpoint.series import Series, uniform_window
 
 W = uniform_window
 
@@ -162,6 +162,45 @@ def test_gs_relation_detects_wrong_conversion():
     # breaking antisymmetry by hand must violate the series relation
     b = AffineB({(1, 0): Fraction(1), (0, 1): Fraction(1)})
     assert not check_gs_relation(b, 6)
+
+
+def _series_gs_relation(b, depth):
+    """The gs check on 2-variable `Series`, kept as a reference."""
+    kp = bkp_to_kp(b)
+    window = W(2, -depth - 2, 1)
+    lhs = series_a_bkp(b, 2, window, 0, 1)
+    t1 = series_a_kp(kp, 2, window, 0, 1, 1, -1).shift((0, 1))
+    t2 = series_a_kp(kp, 2, window, 1, 0, 1, -1).shift((1, 0))
+    rhs = t1.sub(t2).scale(Fraction(1, 4))
+    return all(lhs.coefficient((ew, ez)) == rhs.coefficient((ew, ez))
+               for ew in range(-depth, 1) for ez in range(-depth, 1))
+
+
+# antisymmetry broken by hand: a wrong partner or none at all
+BROKEN = [
+    AffineB({(1, 0): Fraction(1), (0, 1): Fraction(1)}),
+    AffineB({(2, 1): Fraction(1), (1, 2): Fraction(2)}),
+    AffineB({(3, 0): Fraction(1, 2)}),
+    AffineB({(1, 0): Fraction(1), (0, 1): Fraction(-1), (4, 2): Fraction(3)}),
+]
+
+
+def test_gs_relation_matches_series_reference():
+    instances = [random_affine_b(seed) for seed in range(40)]
+    instances.append(random_affine_b(0, max_index=6, density=0.6))
+    for depth in (1, 4, 8, 12):
+        for b in instances + BROKEN:
+            assert check_gs_relation(b, depth) == _series_gs_relation(b, depth)
+    assert not any(_series_gs_relation(b, 8) for b in BROKEN)
+
+
+def test_gs_relation_builds_no_series(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("Series built")
+
+    monkeypatch.setattr(Series, "__init__", build)
+    for seed in range(6):
+        assert check_gs_relation(random_affine_b(seed), 8)
 
 
 def test_coordinate_file_roundtrip():

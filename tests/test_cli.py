@@ -286,3 +286,39 @@ def test_argparse_errors_exit_two(capsys):
               "--formula", "bogus"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--check", "gs", "--count", "0"],
+    ["--check", "square", "--count", "-2"],
+    ["--check", "formulas", "--n", "0"],
+    ["--check", "lemma", "--k", "0"],
+    ["--check", "gs", "--weight", "0"],
+    ["--check", "gs", "--weight", "-3"],
+    ["--check", "lemma", "--window-cap", "-1"],
+    ["--check", "formulas", "--n", "4", "--weight", "3"],
+    ["--check", "formulas", "--weight", "2"],  # below the default n = 3
+    ["--suite", "full", "--weight", "2"],
+])
+def test_verify_refuses_bad_sizes_before_any_check(capsys, monkeypatch, argv):
+    def run(*args):
+        raise AssertionError("a check ran")
+
+    for name in ("check_gs_relation", "check_square_relation",
+                 "check_state_equality", "compare_formulas",
+                 "first_lemma_difference"):
+        monkeypatch.setattr(cli, name, run)
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_lemma_window_zero_is_honoured(capsys):
+    code, doc = run_json(capsys, [
+        "verify", "--check", "lemma", "--k", "1", "--count", "1",
+        "--window-cap", "0",
+    ])
+    assert code == 0
+    assert doc["checks"][0]["params"]["window"] == 0
+    assert doc["passed"] is True

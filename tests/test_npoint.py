@@ -162,7 +162,8 @@ def test_sign_flip_symmetry_of_returned_series():
 
 def test_head_parity_assertion_fires():
     # wangyang asserts the parity of z_0 on each column instead of projecting
-    bad = npoint.CycleSum(1, ((-5, 3),), ({(-2,): F(1)},), 1, (1,),
+    diagonal = {(-1, -1): F(1)}
+    bad = npoint.CycleSum(1, ((-5, 3),), (diagonal, diagonal), 1, 1,
                           head_checked=True)
     with pytest.raises(ArithmeticError, match="parity violation"):
         bad.coefficient((-1,))
@@ -285,3 +286,15 @@ def test_cycle_routes_refuse_large_n(monkeypatch):
     # one tail of the n=8 table
     with pytest.raises(ValueError, match=limit):
         compare_formulas(b, 8, 9)
+
+
+def test_closed_formulas_build_no_series(monkeypatch):
+    # the engine works on term tables from affine.kp_terms / bkp_terms only
+    def build(*args, **kwargs):
+        raise AssertionError("Series built")
+
+    monkeypatch.setattr(Series, "__init__", build)
+    b = random_affine_b(4)
+    for n in (1, 2, 3):
+        result = compare_formulas(b, n, 7)
+        assert result.tables_agree and result.raw_relation_holds
