@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="weight / depth / cutoff of the check")
     ver.add_argument("--n", type=int, help="restrict formulas check to one n")
     ver.add_argument("--k", type=int, help="restrict lemma check to one k")
-    ver.add_argument("--window-cap", type=int,
-                     help="box half-width of the lemma check (default 6)")
+    ver.add_argument("--window", "--window-cap", dest="window", type=int,
+                     help="box half-width of the lemma check (default 6; "
+                          "--window-cap is the old name)")
     ver.add_argument("--format", choices=("json", "csv"), default="json")
     ver.add_argument("--out", help="output path (default stdout)")
     ver.set_defaults(func=cmd_verify)
@@ -231,7 +232,7 @@ def _check_formulas(args):
 
 
 def _check_lemma(args):
-    window = _default(args.window_cap, 6)
+    window = _default(args.window, 6)
     ks = (1, 2, 3) if args.k is None else (args.k,)
     if args.coords:
         specs = [("file", instantiate_from_affine(load_affine_b(args.coords)))]
@@ -266,7 +267,7 @@ def _refuse_sizes(args, names) -> None:
     """Raise ``ValueError`` on a size no check can run with."""
     for flag, value, least in (
         ("--count", args.count, 1), ("--n", args.n, 1), ("--k", args.k, 1),
-        ("--weight", args.max_weight, 1), ("--window-cap", args.window_cap, 0),
+        ("--weight", args.max_weight, 1), ("--window", args.window, 0),
     ):
         if value is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")

@@ -75,10 +75,30 @@ Contraction.  Both sides come from one exact engine, `_contract`.
   state once, by the next factor; closing multiplies by the factor back to
   index 1.  By distributivity this equals the sum of the chain products,
   term for term.
+* Two walks.  x_1 sits in the first step's first slot when eps_1 = -1 and
+  in the closing step's second slot when eps_1 = +1.  So the eps_1 = +1
+  chains are walked backwards, 1 -> j_k -> ... -> j_2 -> 1, over the
+  transposed steps {(j2, j1, e2, e1): items}.  Reversal maps the chains
+  one to one onto themselves, and a reversed chain over the transposed
+  steps takes the same keyed integer items as the chain itself; a product
+  does not depend on the order its factors are taken in.  In both walks
+  the first factor fills x_1, and index 1 is left by that factor only.
+* Slices.  Position 0 (x_1) is the most significant digit of a key, and a
+  chain's x_1 digit is its first factor's.  Restricting the first factor's
+  terms to one digit (its lead) therefore splits the chains into disjoint
+  sets, one per lead, and the same DP contracts each set; the slices
+  together do the work of one unsliced pass.  A slice holds exactly the
+  keys whose lead digit is its lead, so when the slices are visited in
+  increasing lead (leads no first factor has are skipped), the first slice
+  with a nonzero value holds the smallest nonzero key of the whole
+  difference: key order is tuple order.
 
-`first_lemma_difference` contracts the LHS with scale +1 and the RHS with
-scale -2^k into one dict and decodes only its smallest nonzero key; the two
-sides are built as Series only when they differ.
+`first_lemma_difference` contracts each slice of the LHS with scale +1 and
+of the RHS with scale -2^k into one dict, drops it once it is all zero, and
+stops at the first slice that is not.  It decodes that slice's smallest
+nonzero key and contracts the slice again with the two sides apart, to read
+their coefficients there; so it never holds the whole difference.
+`lemma_side` contracts a whole side in one unsliced pass.
 
 Cost limit.  Before any factor is built, one factor's terms are bounded from
 the spec: the kernel pieces lie on the anti-diagonal e_a + e_b = 0 (at most
@@ -86,13 +106,14 @@ W + 1 terms), the s and t(a) t(b) pieces in the block [-m, -1]^2 with
 m = min(max index, W), and the lone t pieces on the two axes.  The check is
 refused with ``ValueError`` when (k-1)! 2^k F^k, the number of chain
 products of the plain enumeration with F terms per factor, exceeds
-`MAX_LEMMA_PRODUCTS`.
+`MAX_LEMMA_PRODUCTS`; that estimate alone bounds k.  `lemma_side`, which
+holds its whole side, is refused above `MAX_LEMMA_SIDE_PRODUCTS`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .affine import AffineB
@@ -283,6 +304,13 @@ def _factor_table(which: str, k: int, spec: SeriesPairSpec, window: int):
 # k = 4, window 6 is 1.25e7 (F = 19).
 MAX_LEMMA_PRODUCTS = 2 * 10**7
 
+# `lemma_side` holds its whole side, about 460 bytes a term, and the same
+# estimate bounds its terms, so it takes on less.  Measured: the
+# all-kernel side at k = 5, window 6 (estimate 1.3e7) holds 2.7e6 terms in
+# 1.1 GiB; the side of random_series_pair_spec(142440) at k = 4, window 6
+# (estimate 4.9e6) holds 7.0e5 terms in 320 MiB.
+MAX_LEMMA_SIDE_PRODUCTS = 10**6
+
 
 def _factor_terms(spec: SeriesPairSpec, window: int) -> int:
     """Upper bound on the terms of one f or g factor (module docstring)."""
@@ -293,19 +321,24 @@ def _factor_terms(spec: SeriesPairSpec, window: int) -> int:
     return max(f_terms, g_terms)
 
 
-def _validate(k: int, spec: SeriesPairSpec, window: int) -> None:
-    if not 1 <= k <= 4:
-        raise ValueError("k must be between 1 and 4")
+def _validate(k: int, spec: SeriesPairSpec, window: int,
+              limit: int = MAX_LEMMA_PRODUCTS) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if window < 0:
         raise ValueError("window must be nonnegative")
     terms = _factor_terms(spec, window)
-    products = factorial(k - 1) * 2 ** k * terms ** k
-    if products > MAX_LEMMA_PRODUCTS:
-        raise ValueError(
-            f"lemma check at k = {k}, window {window} would form about "
-            f"{products} chain products ({terms} terms per factor), above "
-            f"the limit of {MAX_LEMMA_PRODUCTS}"
-        )
+    # (k-1)! 2^k F^k, one factor at a time, so that a huge k stops early
+    products = 1
+    for j in range(k):
+        products *= max(j, 1) * 2 * terms
+        if products > limit:
+            about = "about" if j == k - 1 else "more than"
+            raise ValueError(
+                f"lemma check at k = {k}, window {window} would form {about} "
+                f"{products} chain products ({terms} terms per factor), above "
+                f"the limit of {limit}"
+            )
 
 
 def _denominator(table) -> int:
@@ -313,25 +346,57 @@ def _denominator(table) -> int:
                     for c in fac.values()))
 
 
-def _contract(table, k: int, window: int, common: int, scale: int,
-              acc: Dict[int, int]) -> None:
-    """Add ``scale * common^k`` times the side whose factors are ``table``
-    into ``acc``, keyed by box keys (see the module docstring)."""
+def _walks(table, k: int, window: int, common: int):
+    """The factors of ``table`` as lists of (box key, integer) items over
+    ``common``, arranged as the two walks of `_contract`: eps_1 = -1 over the
+    steps as they are, eps_1 = +1 over the transposed steps."""
     nvars = 2 * k
     weight = [(2 * window + 1) ** (nvars - 1 - p) for p in range(nvars)]
-    # Indices are 0-based from here on; each factor is a list of
-    # (key, integer) items and carries the sign of the index it enters.
-    factors = {}
+    # Indices are 0-based from here on; each factor carries the sign of the
+    # index its step enters.
+    steps = {}
     for (j1, j2, e1, e2), fac in table.items():
         pa = 2 * (j1 - 1) + (1 if e1 == 1 else 0)
         pb = 2 * (j2 - 1) + (0 if e2 == 1 else 1)
         wa, wb = weight[pa], weight[pb]
-        factors[j1 - 1, j2 - 1, e1, e2] = [
+        steps[j1 - 1, j2 - 1, e1, e2] = [
             ((p + window) * wa + (q + window) * wb,
              e2 * c.numerator * (common // c.denominator))
             for (p, q), c in fac.items()
         ]
-    for e0 in (1, -1):
+    back = {(j2, j1, e2, e1): items
+            for (j1, j2, e1, e2), items in steps.items()}
+    return ((-1, steps), (1, back))
+
+
+def _slices(sides, k: int, window: int):
+    """Yield each x_1 digit that a first factor has, in increasing order,
+    with the walks of every side in ``sides``, their first factors kept to
+    the terms of that digit (see the module docstring)."""
+    top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
+    # a walk leaves index 0 once, by its first factor, which fills x_1
+    firsts = [[{step: items for step, items in steps.items()
+                if step[0] == 0 and step[2] == e0} for e0, steps in walks]
+              for walks in sides]
+    leads = {key // top for side in firsts for first in side
+             for items in first.values() for key, _ in items}
+
+    def cut(walks, side, lead):
+        return tuple(
+            (e0, {**steps, **{step: [(key, c) for key, c in items
+                                     if key // top == lead]
+                              for step, items in first.items()}})
+            for (e0, steps), first in zip(walks, side))
+
+    for lead in sorted(leads):
+        yield lead, [cut(walks, side, lead)
+                     for walks, side in zip(sides, firsts)]
+
+
+def _contract(walks, k: int, scale: int, acc: Dict[int, int]) -> None:
+    """Add ``scale * common^k`` times the chains of ``walks`` (see `_walks`)
+    into ``acc``, keyed by box keys (see the module docstring)."""
+    for e0, steps in walks:
         layer = {(1, 0, e0): {0: scale}}
         for _ in range(k - 1):
             grown: dict = {}
@@ -342,10 +407,10 @@ def _contract(table, k: int, window: int, common: int, scale: int,
                     for e2 in (1, -1):
                         state = (seen | 1 << j2, j2, e2)
                         _extend(grown.setdefault(state, {}), partial,
-                                factors[j, j2, ej, e2])
+                                steps[j, j2, ej, e2])
             layer = grown
         for (_, j, ej), partial in layer.items():
-            _extend(acc, partial, factors[j, 0, ej, e0])
+            _extend(acc, partial, steps[j, 0, ej, e0])
 
 
 def _extend(out: Dict[int, int], partial: Dict[int, int], factor) -> None:
@@ -377,13 +442,13 @@ def lemma_side(which: str, k: int, spec: SeriesPairSpec,
     """
     if which not in ("LHS", "RHS"):
         raise ValueError(f"side must be LHS or RHS, got {which!r}")
-    _validate(k, spec, window)
+    _validate(k, spec, window, MAX_LEMMA_SIDE_PRODUCTS)
     nvars = 2 * k
     factors = _factor_table(which, k, spec, window)
     common = _denominator(factors)
     acc: Dict[int, int] = {}
-    _contract(factors, k, window, common, 2 ** k if which == "RHS" else 1,
-              acc)
+    _contract(_walks(factors, k, window, common), k,
+              2 ** k if which == "RHS" else 1, acc)
     den = common ** k
     coeffs = {_decode(key, k, window): Fraction(v, den)
               for key, v in acc.items() if v}
@@ -400,20 +465,31 @@ def check_lemma(k: int, spec: SeriesPairSpec, window: int = 6) -> bool:
 def first_lemma_difference(
     k: int, spec: SeriesPairSpec, window: int = 6
 ) -> Optional[Tuple[tuple, Fraction, Fraction]]:
-    """Smallest differing monomial between the two sides, or None."""
+    """Smallest differing monomial between the two sides, or None.
+
+    The difference is built and dropped one x_1 slice at a time, in
+    increasing order (see the module docstring)."""
     _validate(k, spec, window)
-    lhs = _factor_table("LHS", k, spec, window)
-    rhs = _factor_table("RHS", k, spec, window)
-    common = lcm(_denominator(lhs), _denominator(rhs))
-    acc: Dict[int, int] = {}
-    _contract(lhs, k, window, common, 1, acc)
-    _contract(rhs, k, window, common, -(2 ** k), acc)
-    first = min((key for key, v in acc.items() if v), default=None)
-    if first is None:
-        return None
-    exps = _decode(first, k, window)
-    return (exps, lemma_side("LHS", k, spec, window).coefficient(exps),
-            lemma_side("RHS", k, spec, window).coefficient(exps))
+    tables = [_factor_table(which, k, spec, window)
+              for which in ("LHS", "RHS")]
+    common = lcm(*map(_denominator, tables))
+    sides = [_walks(table, k, window, common) for table in tables]
+    for _, (lhs, rhs) in _slices(sides, k, window):
+        acc: Dict[int, int] = {}
+        _contract(lhs, k, 1, acc)
+        _contract(rhs, k, -(2 ** k), acc)
+        first = min((key for key, v in acc.items() if v), default=None)
+        if first is not None:
+            # this slice again with the two sides apart, for their values
+            lhs_acc: Dict[int, int] = {}
+            rhs_acc: Dict[int, int] = {}
+            _contract(lhs, k, 1, lhs_acc)
+            _contract(rhs, k, 2 ** k, rhs_acc)
+            den = common ** k
+            return (_decode(first, k, window),
+                    Fraction(lhs_acc.get(first, 0), den),
+                    Fraction(rhs_acc.get(first, 0), den))
+    return None
 
 
 def instantiate_from_affine(b: AffineB) -> SeriesPairSpec:

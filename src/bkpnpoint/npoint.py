@@ -112,7 +112,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import comb, lcm
 
 from .affine import AffineB, AffineKP, bkp_terms, bkp_to_kp, kp_terms
@@ -129,19 +129,6 @@ ZERO = Fraction(0)
 # weight 12 on a one-entry instance: 9.4e7 in 0.7 s), so a call takes at
 # most about ten seconds.
 MAX_CYCLE_WORK = 10**9
-
-
-def cycle_orders(n: int):
-    """Visiting orders of the ``(n-1)!`` cycles on ``{0, .., n-1}``, the
-    cycles the engine sums over; the literal reference sums use them."""
-    if n == 1:
-        return ((0,),)
-    return tuple((0,) + rest for rest in permutations(range(1, n)))
-
-
-def cycle_pairs(order):
-    n = len(order)
-    return tuple((order[i], order[(i + 1) % n]) for i in range(n))
 
 
 def standard_window(

@@ -322,3 +322,21 @@ def test_verify_lemma_window_zero_is_honoured(capsys):
     assert code == 0
     assert doc["checks"][0]["params"]["window"] == 0
     assert doc["passed"] is True
+
+
+def test_verify_lemma_window_and_its_old_name_agree(capsys):
+    docs = []
+    for flag in ("--window", "--window-cap"):
+        code, doc = run_json(capsys, [
+            "verify", "--check", "lemma", "--k", "2", "--count", "1",
+            flag, "3",
+        ])
+        assert code == 0
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["checks"][0]["params"]["window"] == 3
+
+
+def test_verify_lemma_huge_k_refused_up_front(capsys):
+    assert main(["verify", "--check", "lemma", "--k", "1000000"]) == 2
+    assert "limit of" in capsys.readouterr().err

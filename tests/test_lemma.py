@@ -1,7 +1,7 @@
 """Tests for the f/g cycle-sum identity and its affine instantiation."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 import pytest
@@ -19,12 +19,17 @@ from bkpnpoint.lemma import (
     lemma_side,
     validate_pair_spec,
 )
-from bkpnpoint.npoint import compare_formulas, cycle_orders
+from bkpnpoint.npoint import compare_formulas
 from bkpnpoint.sampling import random_affine_b, random_series_pair_spec
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
 
 F = Fraction
 W6 = uniform_window(4, -6, 6)
+
+
+def cycle_orders(k):
+    # visiting orders of the (k-1)! cycles on {0, .., k-1}, from 0
+    return tuple((0,) + rest for rest in permutations(range(1, k)))
 
 
 def _spec(s=None, t=None):
@@ -462,6 +467,10 @@ def test_engine_matches_half_enumeration_k4():
     (2, 6, random_series_pair_spec(3), random_series_pair_spec(4)),
     (3, 6, random_series_pair_spec(5), random_series_pair_spec(2)),
     (4, 3, _spec(**SMALL_K4_SPEC), _spec(s={(1, 3): F(1)}, t={2: F(1, 2)})),
+    # x_1 reaches -3 through t_3, which both specs share, so the first
+    # difference (from s) lies past the smallest slice
+    (1, 6, _spec(s={(1, 2): F(1)}, t={3: F(1)}),
+     _spec(s={(1, 2): F(2)}, t={3: F(1)})),
 ])
 def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
                                                 other):
@@ -480,6 +489,73 @@ def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
     assert first_lemma_difference(k, spec, window) == (
         exps, lhs.coefficient(exps), rhs.coefficient(exps))
     assert not check_lemma(k, spec, window)
+
+
+def test_first_difference_past_the_smallest_slice(monkeypatch):
+    # the k = 1 case above: the smallest x_1 slice is at -3 (t_3), and the
+    # first difference lies past it
+    spec = _spec(s={(1, 2): F(1)}, t={3: F(1)})
+    other = _spec(s={(1, 2): F(2)}, t={3: F(1)})
+    table = lemma._factor_table("LHS", 1, spec, 6)
+    walks = lemma._walks(table, 1, 6, lemma._denominator(table))
+    assert next(lemma._slices([walks], 1, 6))[0] - 6 == -3
+    factor = lemma._factor
+    monkeypatch.setattr(
+        lemma, "_factor",
+        lambda which, given, a, b, w: factor(
+            which, other if which == "RHS" else given, a, b, w))
+    assert first_lemma_difference(1, spec, 6)[0][0] > -3
+
+
+def test_first_difference_at_window_zero(monkeypatch):
+    # at window 0 every factor is its constant term, and both sides vanish
+    # (the constants do not depend on the signs); tripling the f factors
+    # whose first argument is an x variable breaks that
+    spec = random_series_pair_spec(0)
+    assert check_lemma(2, spec, 0)
+    factor = lemma._factor
+    monkeypatch.setattr(
+        lemma, "_factor",
+        lambda which, given, a, b, w: {
+            pq: 3 * c if which == "LHS" and a.flavor == "x" else c
+            for pq, c in factor(which, given, a, b, w).items()})
+    # sum over e_1, e_2 of e_1 e_2 (+1)(-1) 3^(number of -1 signs)
+    assert first_lemma_difference(2, spec, 0) == ((0, 0, 0, 0), -4, 0)
+    assert not check_lemma(2, spec, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_slices_partition_the_unsliced_difference(k):
+    # the x_1 slices of LHS - 2^k RHS come in increasing lead, each holds
+    # the keys of its lead digit only, and together they are the unsliced
+    # contraction, key for key
+    window = 6
+    top = (2 * window + 1) ** (2 * k - 1)
+    for seed in range(10):
+        spec = random_series_pair_spec(seed)
+        tables = [lemma._factor_table(which, k, spec, window)
+                  for which in ("LHS", "RHS")]
+        common = lcm(*map(lemma._denominator, tables))
+        sides = [lemma._walks(t, k, window, common) for t in tables]
+        scales = (1, -2 ** k)
+        whole = {}
+        for walks, scale in zip(sides, scales):
+            lemma._contract(walks, k, scale, whole)
+        sliced, leads = {}, []
+        for lead, cut in lemma._slices(sides, k, window):
+            leads.append(lead)
+            part = {}
+            for walks, scale in zip(cut, scales):
+                lemma._contract(walks, k, scale, part)
+            assert all(key // top == lead for key in part)
+            sliced.update(part)
+        assert leads == sorted(set(leads))
+        assert sliced == whole
+
+
+def test_identity_k5_seeded():
+    # k = 5 is gated by the product estimate alone (6.0e6 here)
+    assert check_lemma(5, random_series_pair_spec(1), 3)
 
 
 # -- cost limit ---------------------------------------------------------------
@@ -512,3 +588,16 @@ def test_cost_limit_refuses_before_building_factors(monkeypatch):
         first_lemma_difference(4, spec, 20)
     with pytest.raises(ValueError, match="limit"):
         lemma_side("RHS", 4, spec, 20)
+
+
+def test_cost_limit_refuses_huge_k_at_once():
+    with pytest.raises(ValueError, match="more than"):
+        first_lemma_difference(10**6, _spec(), 0)
+
+
+def test_side_limit_below_the_check_limit():
+    # the all-kernel side at k = 5, window 6 holds 2.7e6 terms; the check
+    # holds one x_1 slice of it at a time and is admitted
+    lemma._validate(5, _spec(), 6)
+    with pytest.raises(ValueError, match="limit"):
+        lemma_side("LHS", 5, _spec(), 6)

@@ -1,7 +1,7 @@
 """Closed cycle-sum formulas for connected n-point functions."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -28,8 +28,6 @@ from bkpnpoint.npoint import (
     _b_degree,
     _kp_degree,
     compare_formulas,
-    cycle_orders,
-    cycle_pairs,
     embedded_npoint_series,
     kp_npoint,
     npoint_table,
@@ -40,6 +38,19 @@ from bkpnpoint.sampling import random_affine_b
 from bkpnpoint.series import KernelKind, Series, expand_kernel
 
 F = Fraction
+
+
+def cycle_orders(n: int):
+    """Visiting orders of the ``(n-1)!`` cycles on ``{0, .., n-1}``, the
+    cycles the literal reference sums run over."""
+    if n == 1:
+        return ((0,),)
+    return tuple((0,) + rest for rest in permutations(range(1, n)))
+
+
+def cycle_pairs(order):
+    n = len(order)
+    return tuple((order[i], order[(i + 1) % n]) for i in range(n))
 
 
 def test_cycle_orders_counts():
