@@ -13,10 +13,6 @@ from .affine import (
     dump_affine_kp,
     load_affine_b,
     parse_affine_b,
-    series_a_bkp,
-    series_a_hat_bkp,
-    series_a_hat_kp,
-    series_a_kp,
     validate_b,
 )
 from .fock import (
@@ -37,15 +33,13 @@ from .lemma import (
     SeriesPairSpec,
     VarRef,
     check_lemma,
-    eval_f,
-    eval_g,
     first_lemma_difference,
     instantiate_from_affine,
-    lemma_side,
     validate_pair_spec,
 )
 from .npoint import (
     FormulaComparison,
+    WindowError,
     compare_formulas,
     embedded_npoint_series,
     kp_npoint,
@@ -54,23 +48,12 @@ from .npoint import (
     wangyang_npoint_series,
 )
 from .sampling import random_affine_b, random_series_pair_spec
-from .series import (
-    DivergentPairingError,
-    KernelKind,
-    Series,
-    WindowError,
-    expand_kernel,
-    uniform_window,
-)
 
 __all__ = [
     "AffineB",
     "AffineKP",
-    "DivergentPairingError",
     "FockVector",
     "FormulaComparison",
-    "KernelKind",
-    "Series",
     "SeriesPairSpec",
     "TruncationOverflow",
     "VarRef",
@@ -84,14 +67,10 @@ __all__ = [
     "dump_affine_b",
     "dump_affine_kp",
     "embedded_npoint_series",
-    "eval_f",
-    "eval_g",
     "exp_bilinear_vacuum",
-    "expand_kernel",
     "first_lemma_difference",
     "instantiate_from_affine",
     "kp_npoint",
-    "lemma_side",
     "load_affine_b",
     "npoint_table",
     "oracle_npoint_table",
@@ -101,10 +80,6 @@ __all__ = [
     "psi_generator_kp",
     "random_affine_b",
     "random_series_pair_spec",
-    "series_a_bkp",
-    "series_a_hat_bkp",
-    "series_a_hat_kp",
-    "series_a_kp",
     "standard_window",
     "tau_coefficients_bkp",
     "tau_coefficients_kp",

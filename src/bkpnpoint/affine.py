@@ -22,9 +22,9 @@ The two hierarchies are linked by
 * series: ``A^BKP(w, z) = (1/4) (z A^KP(w, -z) - w A^KP(z, -w))``
 
 The coefficient rules of ``A^KP`` and ``A^BKP`` live only in `kp_terms` and
-`bkp_terms`; the series builders place their terms, `npoint` builds its
-factor tables from them, and `check_gs_relation` verifies the series form
-coefficientwise on two term tables ``{(x, y): c}``.
+`bkp_terms`; `npoint` builds its factor tables from them, and
+`check_gs_relation` verifies the series form coefficientwise on two term
+tables ``{(x, y): c}``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .series import KernelKind, Series, expand_kernel
-
-Window = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True, eq=True)
@@ -139,89 +135,6 @@ def bkp_terms(b: AffineB):
         weight = (n >= 1) + (m >= 1)
         if weight:
             yield -n, -m, Fraction(weight * (-1) ** (m + n + 1), 2) * a
-
-
-def _place(terms, nvars, window, var_first, var_second, sign_first,
-           sign_second) -> Series:
-    """``sum c (s1 z_a)^x (s2 z_b)^y`` over ``(x, y, c)`` terms."""
-    total = Series.zero(nvars, window)
-    for x, y, c in terms:
-        exps = [0] * nvars
-        exps[var_first] += x
-        exps[var_second] += y
-        c *= sign_first ** -x * sign_second ** -y  # -x, -y >= 0: int powers
-        total = total.add(Series.monomial(nvars, window, exps, c))
-    return total
-
-
-def series_a_kp(
-    kp: AffineKP,
-    nvars: int,
-    window: Window,
-    var_first: int,
-    var_second: int,
-    sign_first: int = 1,
-    sign_second: int = 1,
-) -> Series:
-    """``A^KP(s1 z_a, s2 z_b)``; the two slots may be the same variable."""
-    return _place(kp_terms(kp), nvars, window, var_first, var_second,
-                  sign_first, sign_second)
-
-
-def series_a_bkp(
-    b: AffineB,
-    nvars: int,
-    window: Window,
-    var_first: int,
-    var_second: int,
-    sign_first: int = 1,
-    sign_second: int = 1,
-) -> Series:
-    """``A^BKP(s1 z_a, s2 z_b)``; the two slots may be the same variable."""
-    return _place(bkp_terms(b), nvars, window, var_first, var_second,
-                  sign_first, sign_second)
-
-
-def series_a_hat_kp(
-    kp: AffineKP,
-    nvars: int,
-    window: Window,
-    var_first: int,
-    var_second: int,
-    sign_first: int = 1,
-    sign_second: int = 1,
-) -> Series:
-    """``hat A^KP``: adds the expanded ``1/(arg1 - arg2)`` off the diagonal."""
-    slots = (var_first, var_second, sign_first, sign_second)
-    base = series_a_kp(kp, nvars, window, *slots)
-    if var_first == var_second:
-        return base
-    return base.add(expand_kernel(KernelKind.INV_DIFF, nvars, window, *slots))
-
-
-def series_a_hat_bkp(
-    b: AffineB,
-    nvars: int,
-    window: Window,
-    var_first: int,
-    var_second: int,
-    sign_first: int = 1,
-    sign_second: int = 1,
-) -> Series:
-    """``hat A^BKP``: subtracts ``1/4`` and the geometric tail off the diagonal.
-
-    Off the diagonal the first variable must be the dominant (smaller) one;
-    that is the only region where the tail converges as written.
-    """
-    slots = (var_first, var_second, sign_first, sign_second)
-    base = series_a_bkp(b, nvars, window, *slots)
-    if var_first == var_second:
-        return base
-    if var_first > var_second:
-        raise ValueError("hat A^BKP requires the first variable dominant")
-    tail = expand_kernel(KernelKind.GEOM_TAIL, nvars, window, *slots)
-    quarter = Series.constant(nvars, window, Fraction(-1, 4))
-    return base.add(quarter).add(tail.scale(Fraction(-1, 2)))
 
 
 def check_gs_relation(b: AffineB, depth: int) -> bool:

@@ -22,8 +22,6 @@ disjointness is what makes truncation easy: restricting every factor to
 the box |exponent| <= window already gives the exact product coefficients
 on that box, with no coupling between factors.
 
-``lemma_side("RHS", ...)`` includes the 2^k prefactor.
-
 Factors.  Every factor is bivariate, so `_factor` builds f(a, b) or g(a, b)
 as a table {(p, q): coefficient} of the monomials a^p b^q on the box
 |p|, |q| <= W (W the window), straight from s, t and the kernels' closed
@@ -43,12 +41,9 @@ forms:
       g, b dominant:      -sum_{p=0..W} (-1)^p a^p b^-p
 
 The kernel terms lie on the anti-diagonal p + q = 0 and run to |p| = W;
-cutting the infinite expansions there is the truncation itself and sets
-no flag.  The s and t terms have p, q <= 0 and leave the box exactly when
-an index of the spec exceeds W; that, and nothing else, sets ``clipped``
-on a factor of two distinct variables and on a side.  `eval_f` and
-`eval_g` place the same terms at the positions of a and b in a
-2k-variable Series, so f and g have one implementation.
+cutting the infinite expansions there is the truncation itself.  The s
+and t terms have p, q <= 0 and leave the box exactly when an index of the
+spec exceeds W; `_factor` drops them there.
 
 Contraction.  Both sides come from one exact engine, `_contract`.
 
@@ -98,7 +93,6 @@ of the RHS with scale -2^k into one dict, drops it once it is all zero, and
 stops at the first slice that is not.  It decodes that slice's smallest
 nonzero key and contracts the slice again with the two sides apart, to read
 their coefficients there; so it never holds the whole difference.
-`lemma_side` contracts a whole side in one unsliced pass.
 
 Cost limit.  Before any factor is built, one factor's terms are bounded from
 the spec: the kernel pieces lie on the anti-diagonal e_a + e_b = 0 (at most
@@ -106,8 +100,7 @@ W + 1 terms), the s and t(a) t(b) pieces in the block [-m, -1]^2 with
 m = min(max index, W), and the lone t pieces on the two axes.  The check is
 refused with ``ValueError`` when (k-1)! 2^k F^k, the number of chain
 products of the plain enumeration with F terms per factor, exceeds
-`MAX_LEMMA_PRODUCTS`; that estimate alone bounds k.  `lemma_side`, which
-holds its whole side, is refused above `MAX_LEMMA_SIDE_PRODUCTS`.
+`MAX_LEMMA_PRODUCTS`; that estimate alone bounds k.
 """
 
 from dataclasses import dataclass
@@ -117,7 +110,6 @@ from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .affine import AffineB
-from .series import Series, Window, uniform_window
 
 ZERO = Fraction(0)
 
@@ -232,53 +224,6 @@ def _factor(which: str, spec: SeriesPairSpec, a: VarRef, b: VarRef,
     return {pq: c for pq, c in terms.items() if c}
 
 
-def _place(which: str, spec: SeriesPairSpec, a: VarRef, b: VarRef,
-           window: Window) -> Series:
-    # _factor's terms placed at the positions of a and b, which may be one
-    # variable (the exponents then add).  A term outside
-    # the window is dropped; an s or t term (p + q < 0) also sets the
-    # clipped flag, a kernel term (p + q = 0) does not, because the kernel
-    # is expanded only as far as the window reaches.
-    bound = max(max(-lo, hi) for lo, hi in window)
-    nvars = len(window)
-    coeffs: dict = {}
-    clipped = spec.max_index > bound
-    for (p, q), c in _factor(which, spec, a, b, bound).items():
-        e = [0] * nvars
-        e[a.position] += p
-        e[b.position] += q
-        if all(lo <= x <= hi for x, (lo, hi) in zip(e, window)):
-            e = tuple(e)
-            coeffs[e] = coeffs.get(e, ZERO) + c
-        elif p + q < 0:
-            clipped = True
-    return Series(nvars, window, {e: c for e, c in coeffs.items() if c},
-                  _markers([(a, b)]), clipped)
-
-
-def _markers(pairs) -> dict:
-    # Direction marker of each kernel piece: the smaller index dominates.
-    markers = {}
-    for a, b in pairs:
-        if a.index != b.index:
-            dom = a if a.index < b.index else b
-            markers[min(a.position, b.position),
-                    max(a.position, b.position)] = dom.position
-    return markers
-
-
-def eval_f(spec: SeriesPairSpec, arg1: VarRef, arg2: VarRef,
-           window: Window) -> Series:
-    """f(arg1, arg2) = 2s + 2t(arg1) - 2t(arg2) + (arg1 - arg2)/(arg1 + arg2)."""
-    return _place("LHS", spec, arg1, arg2, window)
-
-
-def eval_g(spec: SeriesPairSpec, arg1: VarRef, arg2: VarRef,
-           window: Window) -> Series:
-    """g(arg1, arg2) = s + 2t(arg1)(1 - t(arg2)) - arg2/(arg1 + arg2)."""
-    return _place("RHS", spec, arg1, arg2, window)
-
-
 def _steps(k: int):
     # Cycle step j1 -> j2 under signs (e1, e2): the first slot takes y_{j1}
     # for e1 = +1 (x_{j1} otherwise), the second slot the opposite flavor
@@ -304,13 +249,6 @@ def _factor_table(which: str, k: int, spec: SeriesPairSpec, window: int):
 # k = 4, window 6 is 1.25e7 (F = 19).
 MAX_LEMMA_PRODUCTS = 2 * 10**7
 
-# `lemma_side` holds its whole side, about 460 bytes a term, and the same
-# estimate bounds its terms, so it takes on less.  Measured: the
-# all-kernel side at k = 5, window 6 (estimate 1.3e7) holds 2.7e6 terms in
-# 1.1 GiB; the side of random_series_pair_spec(142440) at k = 4, window 6
-# (estimate 4.9e6) holds 7.0e5 terms in 320 MiB.
-MAX_LEMMA_SIDE_PRODUCTS = 10**6
-
 
 def _factor_terms(spec: SeriesPairSpec, window: int) -> int:
     """Upper bound on the terms of one f or g factor (module docstring)."""
@@ -321,8 +259,7 @@ def _factor_terms(spec: SeriesPairSpec, window: int) -> int:
     return max(f_terms, g_terms)
 
 
-def _validate(k: int, spec: SeriesPairSpec, window: int,
-              limit: int = MAX_LEMMA_PRODUCTS) -> None:
+def _validate(k: int, spec: SeriesPairSpec, window: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if window < 0:
@@ -332,12 +269,12 @@ def _validate(k: int, spec: SeriesPairSpec, window: int,
     products = 1
     for j in range(k):
         products *= max(j, 1) * 2 * terms
-        if products > limit:
+        if products > MAX_LEMMA_PRODUCTS:
             about = "about" if j == k - 1 else "more than"
             raise ValueError(
                 f"lemma check at k = {k}, window {window} would form {about} "
                 f"{products} chain products ({terms} terms per factor), above "
-                f"the limit of {limit}"
+                f"the limit of {MAX_LEMMA_PRODUCTS}"
             )
 
 
@@ -431,30 +368,6 @@ def _decode(key: int, k: int, window: int) -> tuple:
         key, digit = divmod(key, base)
         exps.append(digit - window)
     return tuple(reversed(exps))
-
-
-def lemma_side(which: str, k: int, spec: SeriesPairSpec,
-               window: int) -> Series:
-    """One side of the identity on the box |exponent| <= window.
-
-    ``which`` is "LHS" (f-products) or "RHS" (g-products, including the
-    2^k prefactor).  Returns a Series in 2k variables.
-    """
-    if which not in ("LHS", "RHS"):
-        raise ValueError(f"side must be LHS or RHS, got {which!r}")
-    _validate(k, spec, window, MAX_LEMMA_SIDE_PRODUCTS)
-    nvars = 2 * k
-    factors = _factor_table(which, k, spec, window)
-    common = _denominator(factors)
-    acc: Dict[int, int] = {}
-    _contract(_walks(factors, k, window, common), k,
-              2 ** k if which == "RHS" else 1, acc)
-    den = common ** k
-    coeffs = {_decode(key, k, window): Fraction(v, den)
-              for key, v in acc.items() if v}
-    return Series(nvars, uniform_window(nvars, -window, window), coeffs,
-                  _markers((a, b) for _, a, b in _steps(k)),
-                  spec.max_index > window)
 
 
 def check_lemma(k: int, spec: SeriesPairSpec, window: int = 6) -> bool:

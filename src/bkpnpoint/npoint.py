@@ -117,7 +117,6 @@ from math import comb, lcm
 
 from .affine import AffineB, AffineKP, bkp_terms, bkp_to_kp, kp_terms
 from .fock import odd_tuples
-from .series import WindowError
 
 Window = tuple[tuple[int, int], ...]
 
@@ -229,6 +228,10 @@ def _rows(table: dict, den: int) -> dict:
 
 
 # -- the engine ----------------------------------------------------------------
+
+
+class WindowError(KeyError):
+    """A coefficient was requested outside the truncation window."""
 
 
 class CycleSum:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
+from .npoint import WindowError
+
 ZERO = Fraction(0)
 
 Window = tuple[tuple[int, int], ...]
@@ -31,10 +33,6 @@ Window = tuple[tuple[int, int], ...]
 
 class DivergentPairingError(ValueError):
     """Two series expanded the same variable pair in opposite directions."""
-
-
-class WindowError(KeyError):
-    """A coefficient was requested outside the truncation window."""
 
 
 def uniform_window(nvars: int, lo: int, hi: int) -> Window:

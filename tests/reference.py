@@ -1,0 +1,71 @@
+"""Series-built references for the tests: the generating series of
+`affine` and the lemma's factors and sides as `bkpnpoint.series.Series`.
+
+The program builds no `Series`; these place its term tables in one, so the
+tests can compare the integer engines with plain Series arithmetic.
+"""
+
+from fractions import Fraction
+
+from bkpnpoint import lemma
+from bkpnpoint.affine import bkp_terms, kp_terms
+from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
+
+
+def place(terms, nvars, window, first, second, sign_first=1, sign_second=1):
+    """``sum c (s1 z_first)^x (s2 z_second)^y`` over ``(x, y, c)`` terms,
+    cut to ``window``; ``first`` and ``second`` may be one variable."""
+    coeffs = {}
+    for x, y, c in terms:
+        exps = [0] * nvars
+        exps[first] += x
+        exps[second] += y
+        exps = tuple(exps)
+        # the signs are +-1, so only the parity of an exponent matters
+        c *= sign_first ** (x % 2) * sign_second ** (y % 2)
+        coeffs[exps] = coeffs.get(exps, 0) + c
+    return Series.zero(nvars, window).add(Series(nvars, window, coeffs))
+
+
+def hat_kp(kp, nvars, window, first, second, sign_first=1, sign_second=1):
+    """``hat A^KP``: ``A^KP`` plus the expanded ``1/(arg1 - arg2)`` off the
+    diagonal."""
+    slots = (first, second, sign_first, sign_second)
+    base = place(kp_terms(kp), nvars, window, *slots)
+    if first == second:
+        return base
+    return base.add(expand_kernel(KernelKind.INV_DIFF, nvars, window, *slots))
+
+
+def hat_bkp(b, nvars, window, first, second, sign_first=1, sign_second=1):
+    """``hat A^BKP``: ``A^BKP`` minus ``1/4`` and the geometric tail off the
+    diagonal, where the first variable must dominate."""
+    slots = (first, second, sign_first, sign_second)
+    base = place(bkp_terms(b), nvars, window, *slots)
+    if first == second:
+        return base
+    tail = expand_kernel(KernelKind.GEOM_TAIL, nvars, window, *slots)
+    quarter = Series.constant(nvars, window, Fraction(-1, 4))
+    return base.add(quarter).add(tail.scale(Fraction(-1, 2)))
+
+
+def factor(which, spec, a, b, window):
+    """f(a, b) for "LHS", g(a, b) for "RHS": `lemma._factor`'s table placed
+    at the positions of the `VarRef`s ``a`` and ``b``."""
+    bound = max(max(-lo, hi) for lo, hi in window)
+    table = lemma._factor(which, spec, a, b, bound)
+    return place(((p, q, c) for (p, q), c in table.items()), len(window),
+                 window, a.position, b.position)
+
+
+def lemma_side(which, k, spec, window):
+    """One side of the lemma identity on the box |exponent| <= window, from
+    the program's engine in one unsliced pass; "RHS" includes the 2^k."""
+    table = lemma._factor_table(which, k, spec, window)
+    common = lemma._denominator(table)
+    acc = {}
+    lemma._contract(lemma._walks(table, k, window, common), k,
+                    2 ** k if which == "RHS" else 1, acc)
+    coeffs = {lemma._decode(key, k, window): Fraction(v, common ** k)
+              for key, v in acc.items() if v}
+    return Series(2 * k, uniform_window(2 * k, -window, window), coeffs)

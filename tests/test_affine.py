@@ -6,19 +6,18 @@ import pytest
 
 from bkpnpoint.affine import (
     AffineB,
+    bkp_terms,
     bkp_to_kp,
     check_gs_relation,
     dump_affine_b,
     dump_affine_kp,
+    kp_terms,
     parse_affine_b,
-    series_a_bkp,
-    series_a_hat_bkp,
-    series_a_hat_kp,
-    series_a_kp,
     validate_b,
 )
 from bkpnpoint.sampling import random_affine_b
 from bkpnpoint.series import Series, uniform_window
+from reference import hat_bkp, hat_kp, place
 
 W = uniform_window
 
@@ -100,26 +99,26 @@ def test_bkp_to_kp_huge_index_converts_at_once():
 
 def test_series_a_bkp_frozen():
     b = validate_b([(1, 0, 1)])
-    s = series_a_bkp(b, 2, W(2, -4, 0), 0, 1)
+    s = place(bkp_terms(b), 2, W(2, -4, 0), 0, 1)
     assert s.coeffs == {(-1, 0): Fraction(1, 2), (0, -1): Fraction(-1, 2)}
 
 
 def test_series_a_bkp_two_index_entry():
     b = validate_b([(2, 1, 1)])
-    s = series_a_bkp(b, 2, W(2, -4, 0), 0, 1)
+    s = place(bkp_terms(b), 2, W(2, -4, 0), 0, 1)
     assert s.coeffs == {(-2, -1): 1, (-1, -2): -1}
 
 
 def test_series_a_bkp_diagonal_slots():
     b = validate_b([(1, 0, 1)])
-    s = series_a_bkp(b, 1, W(1, -4, 0), 0, 0, 1, -1)
+    s = place(bkp_terms(b), 1, W(1, -4, 0), 0, 0, 1, -1)
     # A^BKP(z, -z) = (1/2)(z^{-1} - (-z)^{-1}) = z^{-1}
     assert s.coeffs == {(-1,): 1}
 
 
 def test_series_a_kp_diagonal_accumulates():
     kp = bkp_to_kp(validate_b([(1, 0, 1)]))
-    s = series_a_kp(kp, 1, W(1, -4, 0), 0, 0)
+    s = place(kp_terms(kp), 1, W(1, -4, 0), 0, 0)
     # -2 x^{-1}x^{-1} + 2 x^{-1}x^{-2}
     assert s.coeffs == {(-2,): -2, (-3,): 2}
 
@@ -127,23 +126,23 @@ def test_series_a_kp_diagonal_accumulates():
 def test_hat_kp_adds_kernel_off_diagonal_only():
     kp = bkp_to_kp(validate_b([(1, 0, 1)]))
     win = W(2, -5, 3)
-    hat = series_a_hat_kp(kp, 2, win, 0, 1)
-    plain = series_a_kp(kp, 2, win, 0, 1)
+    hat = hat_kp(kp, 2, win, 0, 1)
+    plain = place(kp_terms(kp), 2, win, 0, 1)
     assert hat.coefficient((-1, 0)) == plain.coefficient((-1, 0)) + 1
     assert hat.coefficient((-2, 1)) == plain.coefficient((-2, 1)) + 1
-    diag = series_a_hat_kp(kp, 1, W(1, -5, 3), 0, 0)
-    assert diag == series_a_kp(kp, 1, W(1, -5, 3), 0, 0)
+    diag = hat_kp(kp, 1, W(1, -5, 3), 0, 0)
+    assert diag == place(kp_terms(kp), 1, W(1, -5, 3), 0, 0)
 
 
 def test_hat_bkp_constant_and_tail():
     b = AffineB()
     win = W(2, -5, 3)
-    hat = series_a_hat_bkp(b, 2, win, 0, 1)
+    hat = hat_bkp(b, 2, win, 0, 1)
     assert hat.coefficient((0, 0)) == Fraction(-1, 4)
     assert hat.coefficient((-1, 1)) == Fraction(1, 2)
     assert hat.coefficient((-2, 2)) == Fraction(-1, 2)
     with pytest.raises(ValueError, match="dominant"):
-        series_a_hat_bkp(b, 2, win, 1, 0)
+        hat_bkp(b, 2, win, 1, 0)
 
 
 def test_gs_relation_frozen_instances():
@@ -168,9 +167,9 @@ def _series_gs_relation(b, depth):
     """The gs check on 2-variable `Series`, kept as a reference."""
     kp = bkp_to_kp(b)
     window = W(2, -depth - 2, 1)
-    lhs = series_a_bkp(b, 2, window, 0, 1)
-    t1 = series_a_kp(kp, 2, window, 0, 1, 1, -1).shift((0, 1))
-    t2 = series_a_kp(kp, 2, window, 1, 0, 1, -1).shift((1, 0))
+    lhs = place(bkp_terms(b), 2, window, 0, 1)
+    t1 = place(kp_terms(kp), 2, window, 0, 1, 1, -1).shift((0, 1))
+    t2 = place(kp_terms(kp), 2, window, 1, 0, 1, -1).shift((1, 0))
     rhs = t1.sub(t2).scale(Fraction(1, 4))
     return all(lhs.coefficient((ew, ez)) == rhs.coefficient((ew, ez))
                for ew in range(-depth, 1) for ez in range(-depth, 1))

@@ -1,13 +1,18 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bkpnpoint import cli, lemma, npoint
 from bkpnpoint.cli import main
 from bkpnpoint.sampling import random_series_pair_spec
+from reference import lemma_side
 
 
 def write_coords(path, rows):
@@ -243,8 +248,8 @@ def test_verify_lemma_failure_names_monomial(capsys, monkeypatch):
     assert code == 1
     assert doc["passed"] is False
     spec = random_series_pair_spec(0)
-    lhs = lemma.lemma_side("LHS", 2, spec, 6)
-    rhs = lemma.lemma_side("RHS", 2, spec, 6)
+    lhs = lemma_side("LHS", 2, spec, 6)
+    rhs = lemma_side("RHS", 2, spec, 6)
     exps = min(lhs.sub(rhs).coeffs)
     assert doc["checks"][0]["detail"] == (
         f"instance 0 k 2: sides differ at {list(exps)} "
@@ -340,3 +345,27 @@ def test_verify_lemma_window_and_its_old_name_agree(capsys):
 def test_verify_lemma_huge_k_refused_up_front(capsys):
     assert main(["verify", "--check", "lemma", "--k", "1000000"]) == 2
     assert "limit of" in capsys.readouterr().err
+
+
+def test_cli_paths_load_no_series():
+    # a fresh interpreter: this process has imported bkpnpoint.series for
+    # the test references
+    root = Path(__file__).resolve().parent.parent
+    coords = str(root / "tests" / "golden" / "coords.json")
+    argvs = [
+        ["npoint", "--coords", coords, "--n", "2", "--max-weight", "9"],
+        ["verify", "--check", "lemma", "--k", "2", "--count", "1"],
+        ["convert", "--coords", coords],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from bkpnpoint import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert 'bkpnpoint.series' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

