@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     np_.add_argument("--format", choices=("json", "csv"), default="json")
     np_.add_argument("--out", help="output path (default stdout)")
     np_.add_argument("--window-cap", type=int,
-                     help="override the positive exponent cap of the series window")
+                     help="override the positive exponent cap of the factor tables")
     np_.set_defaults(func=cmd_npoint)
 
     ver = sub.add_parser(

@@ -22,23 +22,26 @@ disjointness is what makes truncation easy: restricting every factor to
 the box |exponent| <= window already gives the exact product coefficients
 on that box, with no coupling between factors.
 
-Factors.  Every factor is bivariate, so `_factor` builds f(a, b) or g(a, b)
-as a table {(p, q): coefficient} of the monomials a^p b^q on the box
-|p|, |q| <= W (W the window), straight from s, t and the kernels' closed
-forms:
+Factors.  Every factor is bivariate, and it sees the lemma indices of its
+arguments only through the kernel direction d: +1 when a carries the
+smaller index, -1 when b does, and 0 when they are equal (only the k = 1
+wrap-around step).  So `_factor` builds f(a, b) or g(a, b) once per side and
+direction, as a table {(p, q): coefficient} of the monomials a^p b^q on the
+box |p|, |q| <= W (W the window), straight from s, t and the kernels'
+closed forms, and `_walks` places that table at the two variables of every
+step it serves:
 
 * s: an entry c at (m, n) gives f the terms 2c at (-m, -n) and -2c at
   (-n, -m), and g the terms c and -c there;
 * t: an entry t_m gives f the terms 2 t_m at (-m, 0) and -2 t_m at
   (0, -m), and g the term 2 t_m at (-m, 0) and -2 t_m t_n at (-m, -n) for
   every entry t_n;
-* kernels, only when a and b carry different indices (sums over p = 1..W
-  unless marked):
+* kernels, only when d != 0 (sums over p = 1..W unless marked):
 
-      f, a dominant:   1 + sum 2 (-1)^p a^-p b^p
-      f, b dominant:  -1 - sum 2 (-1)^p a^p b^-p
-      g, a dominant:       sum (-1)^p a^-p b^p
-      g, b dominant:      -sum_{p=0..W} (-1)^p a^p b^-p
+      f, d = +1:   1 + sum 2 (-1)^p a^-p b^p
+      f, d = -1:  -1 - sum 2 (-1)^p a^p b^-p
+      g, d = +1:       sum (-1)^p a^-p b^p
+      g, d = -1:      -sum_{p=0..W} (-1)^p a^p b^-p
 
 The kernel terms lie on the anti-diagonal p + q = 0 and run to |p| = W;
 cutting the infinite expansions there is the truncation itself.  The s
@@ -170,33 +173,12 @@ def validate_pair_spec(s_entries, t_entries) -> SeriesPairSpec:
     return SeriesPairSpec(folded, dict(sorted(t_clean.items())))
 
 
-@dataclass(frozen=True)
-class VarRef:
-    """One of the 2k variables: flavor 'x' or 'y' of lemma index i >= 1.
-
-    Variable positions interleave as x_1, y_1, x_2, y_2, ... so index i
-    owns positions 2(i-1) and 2(i-1)+1.
-    """
-
-    index: int
-    flavor: str
-
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ValueError(f"bad variable index {self.index!r}")
-        if self.flavor not in ("x", "y"):
-            raise ValueError(f"bad flavor {self.flavor!r}")
-
-    @property
-    def position(self) -> int:
-        return 2 * (self.index - 1) + (1 if self.flavor == "y" else 0)
-
-
-def _factor(which: str, spec: SeriesPairSpec, a: VarRef, b: VarRef,
+def _factor(which: str, spec: SeriesPairSpec, d: int,
             window: int) -> Dict[Tuple[int, int], Fraction]:
     """f(a, b) for "LHS", g(a, b) for "RHS", as ``{(p, q): coefficient}``
     with p the exponent of ``a`` and q that of ``b``, on the box
-    |p|, |q| <= window (see the module docstring)."""
+    |p|, |q| <= window, for the kernel direction ``d`` (see the module
+    docstring)."""
     is_f = which == "LHS"
     terms: Dict[Tuple[int, int], Fraction] = {}
 
@@ -212,36 +194,15 @@ def _factor(which: str, spec: SeriesPairSpec, a: VarRef, b: VarRef,
         if is_f:
             put(0, -m, -2 * c)
         else:
-            for n, d in spec.t_entries.items():
-                put(-m, -n, -2 * c * d)
-    if a.index != b.index:
-        # d = +1 when a dominates; the kernel terms sit at (-d p, d p).
-        d = 1 if a.index < b.index else -1
+            for n, c_n in spec.t_entries.items():
+                put(-m, -n, -2 * c * c_n)
+    if d:
+        # the kernel terms sit at (-d p, d p)
         if is_f:
             terms[0, 0] = Fraction(d)
         for p in range(0 if d < 0 and not is_f else 1, window + 1):
             terms[-d * p, d * p] = Fraction((2 if is_f else 1) * d * (-1) ** p)
     return {pq: c for pq, c in terms.items() if c}
-
-
-def _steps(k: int):
-    # Cycle step j1 -> j2 under signs (e1, e2): the first slot takes y_{j1}
-    # for e1 = +1 (x_{j1} otherwise), the second slot the opposite flavor
-    # of j2.  Only steps a chain takes are listed.
-    for j1 in range(1, k + 1):
-        for j2 in range(1, k + 1):
-            if j1 != j2 or k == 1:
-                for e1, e2 in product((1, -1), repeat=2):
-                    if j1 == j2 and e1 != e2:
-                        continue  # k = 1 closes on index 1 with its own sign
-                    a = VarRef(j1, "y" if e1 == 1 else "x")
-                    b = VarRef(j2, "x" if e2 == 1 else "y")
-                    yield (j1, j2, e1, e2), a, b
-
-
-def _factor_table(which: str, k: int, spec: SeriesPairSpec, window: int):
-    return {step: _factor(which, spec, a, b, window)
-            for step, a, b in _steps(k)}
 
 
 # Largest estimate of chain products a lemma check takes on (see the module
@@ -283,23 +244,28 @@ def _denominator(table) -> int:
                     for c in fac.values()))
 
 
-def _walks(table, k: int, window: int, common: int):
-    """The factors of ``table`` as lists of (box key, integer) items over
-    ``common``, arranged as the two walks of `_contract`: eps_1 = -1 over the
-    steps as they are, eps_1 = +1 over the transposed steps."""
+def _walks(tables, k: int, window: int, common: int):
+    """The factors of one side, from its ``{direction: table}`` (see
+    `_factor`), as lists of (box key, integer) items over ``common``,
+    arranged as the two walks of `_contract`: eps_1 = -1 over the steps as
+    they are, eps_1 = +1 over the transposed steps."""
     nvars = 2 * k
     weight = [(2 * window + 1) ** (nvars - 1 - p) for p in range(nvars)]
-    # Indices are 0-based from here on; each factor carries the sign of the
-    # index its step enters.
+    # Cycle step j1 -> j2 under signs (e1, e2), indices 0-based: the first
+    # slot takes y_{j1} for e1 = +1 (x_{j1} otherwise), the second x_{j2}
+    # for e2 = +1 (y_{j2} otherwise), and the factor carries the sign of the
+    # index its step enters.  Only steps a chain takes are listed.
     steps = {}
-    for (j1, j2, e1, e2), fac in table.items():
-        pa = 2 * (j1 - 1) + (1 if e1 == 1 else 0)
-        pb = 2 * (j2 - 1) + (0 if e2 == 1 else 1)
-        wa, wb = weight[pa], weight[pb]
-        steps[j1 - 1, j2 - 1, e1, e2] = [
+    for j1, j2, e1, e2 in product(range(k), range(k), (1, -1), (1, -1)):
+        if j1 == j2 and (k > 1 or e1 != e2):
+            continue  # k = 1 closes on index 0 with its own sign
+        wa = weight[2 * j1 + (1 if e1 == 1 else 0)]
+        wb = weight[2 * j2 + (0 if e2 == 1 else 1)]
+        d = 0 if j1 == j2 else 1 if j1 < j2 else -1
+        steps[j1, j2, e1, e2] = [
             ((p + window) * wa + (q + window) * wb,
              e2 * c.numerator * (common // c.denominator))
-            for (p, q), c in fac.items()
+            for (p, q), c in tables[d].items()
         ]
     back = {(j2, j1, e2, e1): items
             for (j1, j2, e1, e2), items in steps.items()}
@@ -383,7 +349,10 @@ def first_lemma_difference(
     The difference is built and dropped one x_1 slice at a time, in
     increasing order (see the module docstring)."""
     _validate(k, spec, window)
-    tables = [_factor_table(which, k, spec, window)
+    # one table per kernel direction: every step of k = 1 joins index 1 to
+    # itself, and at k >= 2 no step does
+    directions = (0,) if k == 1 else (1, -1)
+    tables = [{d: _factor(which, spec, d, window) for d in directions}
               for which in ("LHS", "RHS")]
     common = lcm(*map(_denominator, tables))
     sides = [_walks(table, k, window, common) for table in tables]

@@ -49,19 +49,35 @@ def hat_bkp(b, nvars, window, first, second, sign_first=1, sign_second=1):
     return base.add(quarter).add(tail.scale(Fraction(-1, 2)))
 
 
+def position(var):
+    """Position of the variable ``(index, flavor)``, x_i or y_i with i >= 1,
+    among x_1, y_1, x_2, y_2, ..."""
+    index, flavor = var
+    return 2 * (index - 1) + (1 if flavor == "y" else 0)
+
+
 def factor(which, spec, a, b, window):
-    """f(a, b) for "LHS", g(a, b) for "RHS": `lemma._factor`'s table placed
-    at the positions of the `VarRef`s ``a`` and ``b``."""
+    """f(a, b) for "LHS", g(a, b) for "RHS": `lemma._factor`'s table for the
+    direction of the variables ``(index, flavor)`` ``a`` and ``b``, placed at
+    their positions."""
     bound = max(max(-lo, hi) for lo, hi in window)
-    table = lemma._factor(which, spec, a, b, bound)
+    d = 0 if a[0] == b[0] else 1 if a[0] < b[0] else -1
+    table = lemma._factor(which, spec, d, bound)
     return place(((p, q, c) for (p, q), c in table.items()), len(window),
-                 window, a.position, b.position)
+                 window, position(a), position(b))
+
+
+def tables(which, k, spec, window):
+    """One side's ``{direction: table}``, as `first_lemma_difference`
+    builds it."""
+    return {d: lemma._factor(which, spec, d, window)
+            for d in ((0,) if k == 1 else (1, -1))}
 
 
 def lemma_side(which, k, spec, window):
     """One side of the lemma identity on the box |exponent| <= window, from
     the program's engine in one unsliced pass; "RHS" includes the 2^k."""
-    table = lemma._factor_table(which, k, spec, window)
+    table = tables(which, k, spec, window)
     common = lemma._denominator(table)
     acc = {}
     lemma._contract(lemma._walks(table, k, window, common), k,

@@ -240,8 +240,8 @@ def test_verify_lemma_failure_names_monomial(capsys, monkeypatch):
     factor = lemma._factor
     monkeypatch.setattr(
         lemma, "_factor",
-        lambda which, spec, a, b, w: factor(
-            which, other if which == "RHS" else spec, a, b, w))
+        lambda which, spec, d, w: factor(
+            which, other if which == "RHS" else spec, d, w))
     code, doc = run_json(capsys, [
         "verify", "--check", "lemma", "--count", "1", "--k", "2",
     ])
@@ -261,7 +261,7 @@ def test_verify_lemma_cost_limit_refused_up_front(capsys, monkeypatch):
     def build(*args):
         raise AssertionError("factor table built")
 
-    monkeypatch.setattr(lemma, "_factor_table", build)
+    monkeypatch.setattr(lemma, "_factor", build)
     code = main(["verify", "--check", "lemma", "--k", "4",
                  "--window-cap", "20"])
     assert code == 2

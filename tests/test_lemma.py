@@ -10,7 +10,6 @@ from bkpnpoint import lemma
 from bkpnpoint.affine import validate_b
 from bkpnpoint.lemma import (
     SeriesPairSpec,
-    VarRef,
     check_lemma,
     first_lemma_difference,
     instantiate_from_affine,
@@ -19,7 +18,7 @@ from bkpnpoint.lemma import (
 from bkpnpoint.npoint import compare_formulas
 from bkpnpoint.sampling import random_affine_b, random_series_pair_spec
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
-from reference import factor, lemma_side
+from reference import factor, lemma_side, position, tables
 
 F = Fraction
 W6 = uniform_window(4, -6, 6)
@@ -64,20 +63,10 @@ def test_pair_spec_rejects_bad_input():
     assert spec.is_zero()
 
 
-def test_var_ref_positions():
-    assert VarRef(1, "x").position == 0
-    assert VarRef(1, "y").position == 1
-    assert VarRef(3, "x").position == 4
-    with pytest.raises(ValueError):
-        VarRef(0, "x")
-    with pytest.raises(ValueError):
-        VarRef(1, "z")
-
-
 def test_ratio_piece_frozen():
     # s = 0, t = 0: f(y_1, x_2) is the directional (y-x)/(y+x) expansion
     # 1 + 2 sum_{n>=0} (-y_1)^{-n-1} x_2^{n+1}.
-    f = factor("LHS", _spec(), VarRef(1, "y"), VarRef(2, "x"), W6)
+    f = factor("LHS", _spec(), (1, "y"), (2, "x"), W6)
     expect = {(0, 0, 0, 0): F(1)}
     for p in range(1, 7):
         expect[(0, -p, p, 0)] = F(2 * (-1) ** p)
@@ -88,17 +77,17 @@ def test_equal_index_kernel_piece_vanishes():
     # wrap-around factor of k = 1: only the s and t parts survive
     spec = _spec(t={1: F(3)})
     win = uniform_window(2, -6, 6)
-    f = factor("LHS", spec, VarRef(1, "y"), VarRef(1, "x"), win)
+    f = factor("LHS", spec, (1, "y"), (1, "x"), win)
     assert f.coeffs == {(0, -1): F(6), (-1, 0): F(-6)}
 
 
 def test_f_antisymmetry_and_g_split():
     args = [
-        (VarRef(1, "y"), VarRef(2, "x")),
-        (VarRef(2, "x"), VarRef(1, "y")),
-        (VarRef(1, "y"), VarRef(1, "x")),
-        (VarRef(2, "y"), VarRef(1, "x")),
-        (VarRef(3, "x"), VarRef(2, "y")),
+        ((1, "y"), (2, "x")),
+        ((2, "x"), (1, "y")),
+        ((1, "y"), (1, "x")),
+        ((2, "y"), (1, "x")),
+        ((3, "x"), (2, "y")),
     ]
     win = uniform_window(6, -6, 6)
     for seed in range(5):
@@ -113,7 +102,7 @@ def test_f_antisymmetry_and_g_split():
 def test_k1_sides_frozen():
     spec = _spec(s={(1, 2): F(1, 2)}, t={1: F(2), 3: F(-1, 3)})
     win = uniform_window(2, -6, 6)
-    y1, x1 = VarRef(1, "y"), VarRef(1, "x")
+    y1, x1 = (1, "y"), (1, "x")
     lhs = lemma_side("LHS", 1, spec, 6)
     rhs = lemma_side("RHS", 1, spec, 6)
     assert lhs == factor("LHS", spec, y1, x1, win).scale(2)
@@ -155,8 +144,8 @@ def test_halved_enumeration_matches_full_sum():
                 term = None
                 for i in range(k):
                     j1, j2 = order[i], order[(i + 1) % k]
-                    a = VarRef(j1 + 1, "y" if eps[j1] == 1 else "x")
-                    b = VarRef(j2 + 1, "x" if eps[j2] == 1 else "y")
+                    a = (j1 + 1, "y" if eps[j1] == 1 else "x")
+                    b = (j2 + 1, "x" if eps[j2] == 1 else "y")
                     fac = factor(which, spec, a, b, win)
                     term = fac if term is None else term.mul(fac)
                 total = total.add(term.scale(sign))
@@ -286,19 +275,19 @@ def _s_series(spec, nvars, window, pos1, pos2):
 def _ratio(nvars, window, num, other):
     # num/(other + num), directional by lemma index; zero on equal indices.
     return expand_kernel(
-        KernelKind.LEMMA_RATIO, nvars, window, num.position, other.position,
-        idx_i=num.index, idx_j=other.index,
+        KernelKind.LEMMA_RATIO, nvars, window, position(num), position(other),
+        idx_i=num[0], idx_j=other[0],
     )
 
 
 def _chain_f(spec, arg1, arg2, window):
     """f(arg1, arg2) by Series arithmetic on the 2k-variable window."""
     nvars = len(window)
-    p1, p2 = arg1.position, arg2.position
+    p1, p2 = position(arg1), position(arg2)
     out = _s_series(spec, nvars, window, p1, p2).scale(2)
     out = out.add(_t_series(spec, nvars, window, p1).scale(2))
     out = out.sub(_t_series(spec, nvars, window, p2).scale(2))
-    if arg1.index != arg2.index:
+    if arg1[0] != arg2[0]:
         out = out.add(_ratio(nvars, window, arg1, arg2))
         out = out.sub(_ratio(nvars, window, arg2, arg1))
     return out
@@ -307,18 +296,18 @@ def _chain_f(spec, arg1, arg2, window):
 def _chain_g(spec, arg1, arg2, window):
     """g(arg1, arg2) by Series arithmetic on the 2k-variable window."""
     nvars = len(window)
-    p1, p2 = arg1.position, arg2.position
+    p1, p2 = position(arg1), position(arg2)
     t1 = _t_series(spec, nvars, window, p1)
     out = _s_series(spec, nvars, window, p1, p2)
     out = out.add(t1.scale(2))
     out = out.sub(t1.mul(_t_series(spec, nvars, window, p2)).scale(2))
-    if arg1.index != arg2.index:
+    if arg1[0] != arg2[0]:
         out = out.sub(_ratio(nvars, window, arg2, arg1))
     return out
 
 
 def test_factors_match_series_chain_reference():
-    variables = [VarRef(i, f) for i in (1, 2, 3) for f in "xy"]
+    variables = [(i, f) for i in (1, 2, 3) for f in "xy"]
     # uniform boxes, and one window that cuts the kernels unevenly
     windows = [uniform_window(6, -w, w) for w in (0, 2, 3, 6)]
     windows.append(((-3, 5), (-6, 2), (-4, 4), (-2, 6), (-5, 1), (0, 3)))
@@ -352,16 +341,17 @@ def _chain_steps(k):
                 yield j1 + 1, j2 + 1, eps[j1], eps[j2]
 
 
-def _reference_side(which, k, spec, window):
+def _reference_side(which, k, spec, window, build=factor):
     """One side by the plain product loop over cycles and sign vectors with
     eps_1 = +1; flipping every sign maps a term to its x<->y flavor swap
-    times (-1)^k, which gives the other half."""
+    times (-1)^k, which gives the other half.  ``build`` makes the factors,
+    as `reference.factor` does."""
     nvars = 2 * k
     win = uniform_window(nvars, -window, window)
     factors = {
-        (j1, j2, e1, e2): factor(which, spec,
-                                 VarRef(j1, "y" if e1 == 1 else "x"),
-                                 VarRef(j2, "x" if e2 == 1 else "y"), win)
+        (j1, j2, e1, e2): build(which, spec,
+                                (j1, "y" if e1 == 1 else "x"),
+                                (j2, "x" if e2 == 1 else "y"), win)
         for j1, j2, e1, e2 in set(_chain_steps(k))
     }
     compact = {}
@@ -450,8 +440,8 @@ def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
     factor = lemma._factor
     monkeypatch.setattr(
         lemma, "_factor",
-        lambda which, given, a, b, w: factor(
-            which, other if which == "RHS" else given, a, b, w))
+        lambda which, given, d, w: factor(
+            which, other if which == "RHS" else given, d, w))
     lhs = _reference_side("LHS", k, spec, window)
     rhs = _reference_side("RHS", k, spec, window)
     diff = lhs.sub(rhs)
@@ -467,31 +457,48 @@ def test_first_difference_past_the_smallest_slice(monkeypatch):
     # first difference lies past it
     spec = _spec(s={(1, 2): F(1)}, t={3: F(1)})
     other = _spec(s={(1, 2): F(2)}, t={3: F(1)})
-    table = lemma._factor_table("LHS", 1, spec, 6)
+    table = tables("LHS", 1, spec, 6)
     walks = lemma._walks(table, 1, 6, lemma._denominator(table))
     assert next(lemma._slices([walks], 1, 6))[0] - 6 == -3
     factor = lemma._factor
     monkeypatch.setattr(
         lemma, "_factor",
-        lambda which, given, a, b, w: factor(
-            which, other if which == "RHS" else given, a, b, w))
+        lambda which, given, d, w: factor(
+            which, other if which == "RHS" else given, d, w))
     assert first_lemma_difference(1, spec, 6)[0][0] > -3
 
 
 def test_first_difference_at_window_zero(monkeypatch):
-    # at window 0 every factor is its constant term, and both sides vanish
-    # (the constants do not depend on the signs); tripling the f factors
-    # whose first argument is an x variable breaks that
+    # at window 0 every factor is its constant term, and both sides vanish:
+    # the constants depend on the step's direction but not on its signs, so
+    # the sum over signs cancels them, and no change to a direction table
+    # can break the identity here.  Tripling the factors of the steps whose
+    # two signs agree (their arguments differ in flavor) does, and keeps the
+    # flavor swap symmetry the half-enumeration reference relies on.
     spec = random_series_pair_spec(0)
     assert check_lemma(2, spec, 0)
-    factor = lemma._factor
-    monkeypatch.setattr(
-        lemma, "_factor",
-        lambda which, given, a, b, w: {
-            pq: 3 * c if which == "LHS" and a.flavor == "x" else c
-            for pq, c in factor(which, given, a, b, w).items()})
-    # sum over e_1, e_2 of e_1 e_2 (+1)(-1) 3^(number of -1 signs)
-    assert first_lemma_difference(2, spec, 0) == ((0, 0, 0, 0), -4, 0)
+    walks = lemma._walks
+
+    def tripled_walks(*args):
+        out = walks(*args)
+        # the eps_1 = -1 walk keys the steps as they are; the other walk
+        # shares their item lists
+        for (_, _, e1, e2), items in out[0][1].items():
+            if e1 == e2:
+                items[:] = [(key, 3 * c) for key, c in items]
+        return out
+
+    def tripled_factor(which, given, a, b, win):
+        fac = factor(which, given, a, b, win)
+        return fac.scale(3) if a[1] != b[1] else fac
+
+    monkeypatch.setattr(lemma, "_walks", tripled_walks)
+    lhs = _reference_side("LHS", 2, spec, 0, tripled_factor)
+    rhs = _reference_side("RHS", 2, spec, 0, tripled_factor)
+    exps = (0, 0, 0, 0)
+    assert lhs.coefficient(exps) != rhs.coefficient(exps)
+    assert first_lemma_difference(2, spec, 0) == (
+        exps, lhs.coefficient(exps), rhs.coefficient(exps))
     assert not check_lemma(2, spec, 0)
 
 
@@ -504,10 +511,9 @@ def test_slices_partition_the_unsliced_difference(k):
     top = (2 * window + 1) ** (2 * k - 1)
     for seed in range(10):
         spec = random_series_pair_spec(seed)
-        tables = [lemma._factor_table(which, k, spec, window)
-                  for which in ("LHS", "RHS")]
-        common = lcm(*map(lemma._denominator, tables))
-        sides = [lemma._walks(t, k, window, common) for t in tables]
+        both = [tables(which, k, spec, window) for which in ("LHS", "RHS")]
+        common = lcm(*map(lemma._denominator, both))
+        sides = [lemma._walks(t, k, window, common) for t in both]
         scales = (1, -2 ** k)
         whole = {}
         for walks, scale in zip(sides, scales):
@@ -524,6 +530,23 @@ def test_slices_partition_the_unsliced_difference(k):
         assert sliced == whole
 
 
+@pytest.mark.parametrize("k,calls", [(1, 2), (2, 4), (3, 4), (4, 4)])
+def test_factors_built_once_per_side_and_direction(monkeypatch, k, calls):
+    # k = 1 has only the wrap-around direction, k >= 2 only the two others;
+    # the contraction builds no factors and is skipped to keep k = 4 quick
+    made = []
+    factor = lemma._factor
+
+    def counted(*args):
+        made.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(lemma, "_factor", counted)
+    monkeypatch.setattr(lemma, "_contract", lambda *args: None)
+    assert first_lemma_difference(k, random_series_pair_spec(0), 6) is None
+    assert len(made) == calls
+
+
 def test_identity_k5_seeded():
     # k = 5 is gated by the product estimate alone (6.0e6 here)
     assert check_lemma(5, random_series_pair_spec(1), 3)
@@ -538,8 +561,8 @@ def test_factor_term_bound_holds(window):
         spec = random_series_pair_spec(seed)
         bound = lemma._factor_terms(spec, window)
         for which in ("LHS", "RHS"):
-            table = lemma._factor_table(which, 3, spec, window)
-            assert max(len(f) for f in table.values()) <= bound
+            for d in (1, 0, -1):
+                assert len(lemma._factor(which, spec, d, window)) <= bound
 
 
 def test_cost_limit_admits_random_specs_up_to_k4():
@@ -553,7 +576,7 @@ def test_cost_limit_refuses_before_building_factors(monkeypatch):
     def build(*args):
         raise AssertionError("factor table built")
 
-    monkeypatch.setattr(lemma, "_factor_table", build)
+    monkeypatch.setattr(lemma, "_factor", build)
     spec = random_series_pair_spec(0)
     with pytest.raises(ValueError, match="limit"):
         first_lemma_difference(4, spec, 20)
