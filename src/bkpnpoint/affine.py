@@ -83,7 +83,8 @@ def validate_b(items) -> AffineB:
         rows = [(n, m, v) for n, m, v in items]
     entries: dict = {}
     for n, m, v in rows:
-        if not (isinstance(n, int) and isinstance(m, int)):
+        if (isinstance(n, bool) or isinstance(m, bool)
+                or not (isinstance(n, int) and isinstance(m, int))):
             raise ValueError(f"indices must be integers, got ({n!r}, {m!r})")
         if n < 0 or m < 0:
             raise ValueError(f"negative index in ({n}, {m})")
@@ -173,9 +174,7 @@ def parse_affine_b(data) -> AffineB:
         if not (isinstance(rec, list) and len(rec) == 3):
             raise ValueError(f"bad coordinate record {rec!r}")
         n, m, v = rec
-        if isinstance(v, bool) or isinstance(n, bool) or isinstance(m, bool):
-            raise ValueError(f"bad coordinate record {rec!r}")
-        if not isinstance(v, (str, int)):
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
             raise ValueError(f"bad coordinate value {v!r}")
         try:
             value = Fraction(str(v))

@@ -25,10 +25,17 @@ Operator conventions (``r`` half-integer, ``m2 = 2r``):
   sectors ``+-2``, components lower E by ``k`` or ``k -+ 1``).
 
 Vectors are sparse ``dict[state] -> Fraction``.  ``exp_bilinear_vacuum``
-builds ``exp(sum of quadratic raising operators)|0>`` truncated to
-``E2 <= cutoff2``; since no operator used here ever lowers energy below a
-previously dropped state, the truncated vector is exact on the kept subspace.
-It runs on integers: with ``L`` the lcm of the denominators of the
+builds ``exp(sum of mode terms)|0>`` truncated to ``E2 <= cutoff2``.  It
+admits a term only when its ``E2`` rise is at least 2 per insert it makes,
+``rise >= 2 * (a_ins + b_ins)``; the generators' terms all pass (``phi_m
+phi_n`` with ``m + n >= 1``, ``psi_r psi*_s`` with ``-(r2 + s2) >= 2``).  No
+admitted term lowers the energy, so no dropped state feeds a kept one and
+the truncated vector is exact on the kept subspace.  The rule is also the
+iteration bound: ``j`` terms with ``I`` inserts reach charge
+``c = 2I - 2j`` and ``E2 >= 2I = 2j + c``, and ``c^2 <= E2 <= cutoff2``
+(``exp_iteration_limit``; the full argument is in ``exp_bilinear_vacuum``).
+
+The loop runs on integers: with ``L`` the lcm of the denominators of the
 generator's mode terms, ``A = L * generator`` is integral, the integer
 vectors ``u_j = A u_{j-1}`` are ``L^j j!`` times the ``j``-th term of the
 exponential, and the sum is kept as numerators over the running
@@ -38,8 +45,10 @@ flag as the term-by-term ``Fraction`` sum.
 
 Every mode action of the oracle goes through one kernel, ``two_mode``: a
 product of two primitive actions on a basis state, with both occupancies
-checked before any tuple is built.  ``apply_mode_ops`` applies the actions
-one at a time and stays as the reference the tests hold it to.
+checked before any tuple is built.  The generators are lists of mode terms
+``((a_ins, a, b_ins, b), coeff)``, one ``two_mode`` call each: ``c psi_r
+psi*_s`` is the one term ``((True, r2, False, -s2), c)``, and ``c phi_m
+phi_n`` the four insert/remove families of its two ``phi``.
 
 The energy cutoff needed for weight-``W`` tau coefficients exceeds ``W``:
 contributing intermediate states satisfy ``E = W_remaining + charge/2`` with
@@ -90,7 +99,7 @@ powers can drop every longer monomial as they are formed.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, lcm
@@ -120,52 +129,6 @@ def _count_below(bubbles, holes, m2: int) -> int:
     return len(bubbles) + (m2 - 1) // 2 - bisect_left(holes, m2)
 
 
-def _insert(state, m2: int):
-    """Wedge mode ``m2`` in; ``None`` if occupied, else ``(state, sign)``."""
-    bubbles, holes = state
-    if m2 < 0:
-        if m2 in bubbles:
-            return None
-        new = list(bubbles)
-        insort(new, m2)
-        out = (tuple(new), holes)
-    else:
-        if m2 not in holes:
-            return None  # sea mode already occupied
-        out = (bubbles, tuple(h for h in holes if h != m2))
-    sign = -1 if _count_below(bubbles, holes, m2) & 1 else 1
-    return out, sign
-
-
-def _remove(state, m2: int):
-    """Contract mode ``m2`` out; ``None`` if unoccupied."""
-    bubbles, holes = state
-    if m2 < 0:
-        if m2 not in bubbles:
-            return None
-        out = (tuple(b for b in bubbles if b != m2), holes)
-    else:
-        if m2 in holes:
-            return None
-        new = list(holes)
-        insort(new, m2)
-        out = (bubbles, tuple(new))
-    sign = -1 if _count_below(bubbles, holes, m2) & 1 else 1
-    return out, sign
-
-
-def apply_mode_ops(state, ops):
-    """Apply ``(kind, m2)`` pairs right to left; kinds ``+`` insert, ``-`` remove."""
-    sign = 1
-    for kind, m2 in reversed(ops):
-        res = _insert(state, m2) if kind == "+" else _remove(state, m2)
-        if res is None:
-            return None
-        state, s = res
-        sign *= s
-    return state, sign
-
-
 def _toggled(seq: tuple, m2: int, present: bool) -> tuple:
     """``seq`` with ``m2`` dropped (``present``) or inserted in order."""
     i = bisect_left(seq, m2)
@@ -177,8 +140,8 @@ def _toggled(seq: tuple, m2: int, present: bool) -> tuple:
 def two_mode(state, a_ins: bool, a: int, b_ins: bool, b: int):
     """``op_a op_b |state>`` for two mode actions (insert when ``*_ins``).
 
-    Equals ``apply_mode_ops(state, ((kind_a, a), (kind_b, b)))``: ``None``
-    when it vanishes, else ``(new state, sign)``.  Both occupancies are
+    ``None`` when it vanishes, else ``(new state, sign)``: the action on
+    ``b`` first, then the one on ``a``.  Both occupancies are
     checked before any tuple is built; for ``a != b`` the sign is
     ``(-1)^(below(a) + below(b) + [b < a])``, counted on ``state``, since
     acting on ``b`` first moves the count below ``a`` by one when ``b < a``.
@@ -207,59 +170,22 @@ def two_mode(state, a_ins: bool, a: int, b_ins: bool, b: int):
     return (bubbles, holes), -1 if parity & 1 else 1
 
 
-@dataclass(frozen=True)
-class QuadraticOp:
-    """A fermion bilinear: ``psi_{r} psi*_{s}`` or ``phi_m phi_n``."""
-
-    kind: str  # "psi_psi_star" | "phi_phi"
-    a: int     # doubled psi index r2, or integer m
-    b: int     # doubled psi* index s2, or integer n
-    coeff: Fraction
-
-    def min_raise2(self) -> int:
-        if self.kind == "psi_psi_star":
-            return -(self.a + self.b)
-        return 2 * (self.a + self.b) - 2
-
-    def mode_terms(self):
-        """Expand into ``((a_ins, a, b_ins, b), coeff)`` for ``two_mode``."""
-        if self.kind == "psi_psi_star":
-            return (((True, self.a, False, -self.b), self.coeff),)
-        m, n = self.a, self.b
-        half = self.coeff / 2
-        sm, sn = (-1) ** m, (-1) ** n
-        return (
-            ((True, -2 * m - 1, True, -2 * n - 1), half),
-            ((True, -2 * m - 1, False, 2 * n - 1), half * sn),
-            ((False, 2 * m - 1, True, -2 * n - 1), half * sm),
-            ((False, 2 * m - 1, False, 2 * n - 1), half * sm * sn),
-        )
-
-
-def psi_psi_star(r2: int, s2: int, coeff) -> QuadraticOp:
-    if r2 % 2 == 0 or s2 % 2 == 0:
-        raise ValueError("psi indices must be doubled half-integers (odd)")
-    return QuadraticOp("psi_psi_star", r2, s2, Fraction(coeff))
-
-
-def phi_phi(m: int, n: int, coeff) -> QuadraticOp:
-    return QuadraticOp("phi_phi", m, n, Fraction(coeff))
+def _rise(modes) -> int:
+    """The ``E2`` change of a mode term: an insert of ``m2`` raises ``E2`` by
+    ``-m2``, a remove by ``m2``."""
+    a_ins, a, b_ins, b = modes
+    return (-a if a_ins else a) + (-b if b_ins else b)
 
 
 def _apply_terms(terms, vec: dict, cutoff2: int):
     """``sum k * two_mode(...)`` over ``(modes, k)`` terms, cut at ``cutoff2``.
 
     Works on ``Fraction`` or ``int`` coefficients alike; returns
-    ``(dict without zeros, clipped)``.  A term's energy raise is known from
-    its modes (an insert of ``m2`` raises ``E2`` by ``-m2``, a remove by
-    ``m2``), so a term above the cutoff is only applied while no earlier one
+    ``(dict without zeros, clipped)``.  A term's rise is known from its
+    modes, so a term above the cutoff is only applied while no earlier one
     has been clipped, to set the flag.
     """
-    raised = [
-        (modes, k, (-modes[1] if modes[0] else modes[1])
-         + (-modes[3] if modes[2] else modes[3]))
-        for modes, k in terms
-    ]
+    raised = [(modes, k, _rise(modes)) for modes, k in terms]
     out: dict = {}
     clipped = False
     for state, c in vec.items():
@@ -346,37 +272,27 @@ class FockVector:
     clipped: bool = False
 
 
-def exp_bilinear_vacuum(ops, cutoff2: int) -> FockVector:
-    """``exp(sum ops)|0>`` truncated to ``E2 <= cutoff2``.
+def exp_bilinear_vacuum(terms, cutoff2: int) -> FockVector:
+    """``exp(sum terms)|0>`` truncated to ``E2 <= cutoff2``.
 
-    Every operator must have nonnegative minimal energy raise and strictly
-    positive nominal raise (quadratic pieces of affine-coordinate generators
-    do); zero-raise components lower the charge, so iteration terminates.
-
+    ``terms`` are mode terms ``((a_ins, a, b_ins, b), coeff)``; each must
+    raise ``E2`` by at least 2 per insert, ``rise >= 2 * (a_ins + b_ins)``.
     The loop runs on the integer vectors ``u_j = A u_{j-1}`` (see the module
     docstring), each cut at ``cutoff2``.
 
     **Iteration bound.**  A nonzero ``u_j`` needs ``j <= (C + isqrt(C)) / 2``
     with ``C = cutoff2``, so the loop stops at most one step later, on an
     empty term.  Each of the ``j`` factors applies one mode term, which
-    moves ``E2`` (exactly, by its two mode actions) and the charge by:
-
-    * ``phi_m phi_n`` (``m + n >= 1``): insert-insert ``2(m+n)+2 >= 4`` and
-      ``+2``; the two mixed families ``2(m+n) >= 2`` and ``0``;
-      remove-remove ``2(m+n)-2 >= 0`` and ``-2``;
-    * ``psi_r psi*_s``: ``-(r2+s2) >= 2`` and ``0``.
-
-    With ``p`` insert-insert, ``q`` remove-remove and ``r`` other factors,
-    the final state has ``E2 >= 4p + 2r`` and charge ``c = 2(p - q)``, so
-    ``j = p + q + r = 2p + r - c/2 <= E2/2 + |c|/2``.  A state of charge
-    ``c`` has ``E2 >= c^2``, so ``|c| <= isqrt(E2)``, and ``E2 <= C``.
+    moves ``E2`` by its rise and the charge by ``+1`` per insert and ``-1``
+    per remove.  With ``I`` inserts among the ``2j`` actions the final state
+    has charge ``c = 2I - 2j`` and ``E2 >= 2I = 2j + c``, so
+    ``j <= (E2 - c)/2 <= E2/2 + |c|/2``.  A state of charge ``c`` has
+    ``E2 >= c^2``, so ``|c| <= isqrt(E2)``, and ``E2 <= C``.
     """
-    for op in ops:
-        if op.kind == "psi_psi_star" and op.min_raise2() < 2:
-            raise ValueError(f"operator {op} does not raise energy")
-        if op.kind == "phi_phi" and op.a + op.b < 1:
-            raise ValueError(f"operator {op} does not raise energy")
-    terms = [t for op in ops for t in op.mode_terms()]
+    for modes, _ in terms:
+        if _rise(modes) < 2 * (modes[0] + modes[2]):
+            raise ValueError(
+                f"mode term {modes} does not raise E2 by 2 per insert")
     scale = lcm(*(k.denominator for _, k in terms))
     terms = [(modes, k.numerator * (scale // k.denominator))
              for modes, k in terms]
@@ -408,30 +324,40 @@ def exp_iteration_limit(cutoff2: int) -> int:
 # -- generators from affine coordinates ------------------------------------
 
 
+def _phi_phi_terms(m: int, n: int, c):
+    """Mode terms of ``c phi_m phi_n``: each ``phi`` inserts or removes, and
+    the two ``1/sqrt(2)`` make ``1/2``."""
+    half = c / 2
+    sm, sn = -1 if m % 2 else 1, -1 if n % 2 else 1
+    return (
+        ((True, -2 * m - 1, True, -2 * n - 1), half),
+        ((True, -2 * m - 1, False, 2 * n - 1), half * sn),
+        ((False, 2 * m - 1, True, -2 * n - 1), half * sm),
+        ((False, 2 * m - 1, False, 2 * n - 1), half * sm * sn),
+    )
+
+
 def phi_phi_generator(b: AffineB):
-    """``sum_{n,m} a_{n,m} phi_m phi_n`` over both triangles."""
-    return [phi_phi(m, n, a) for (n, m), a in sorted(b.entries.items())]
+    """``sum_{n,m} a_{n,m} phi_m phi_n`` over both triangles, as mode terms."""
+    return [t for (n, m), a in sorted(b.entries.items())
+            for t in _phi_phi_terms(m, n, a)]
 
 
 def psi_generator_kp(kp: AffineKP):
-    """``sum a_{p,q} psi_{-q-1/2} psi*_{-p-1/2}``."""
-    return [
-        psi_psi_star(-2 * q - 1, -2 * p - 1, a)
-        for (p, q), a in sorted(kp.entries.items())
-    ]
+    """``sum a_{p,q} psi_{-q-1/2} psi*_{-p-1/2}``, one mode term each."""
+    return [((True, -2 * q - 1, False, 2 * p + 1), a)
+            for (p, q), a in sorted(kp.entries.items())]
 
 
 def psi_generator_embedded(b: AffineB):
     """The psi-bilinear form of the BKP generator plus its reflection.
 
-    ``sum_{n,m} 2 (-1)^n a_{n,m} psi_{-m-1/2} psi*_{-n+1/2}``; exponentiating
-    it from the vacuum gives the same state as the KP generator built from
-    the converted coordinates.
+    ``sum_{n,m} 2 (-1)^n a_{n,m} psi_{-m-1/2} psi*_{-n+1/2}``, one mode term
+    each; exponentiating it from the vacuum gives the same state as the KP
+    generator built from the converted coordinates.
     """
-    return [
-        psi_psi_star(-2 * m - 1, -2 * n + 1, 2 * (-1) ** n * a)
-        for (n, m), a in sorted(b.entries.items())
-    ]
+    return [((True, -2 * m - 1, False, 2 * n - 1), 2 * (-1) ** n * a)
+            for (n, m), a in sorted(b.entries.items())]
 
 
 # -- tau coefficients -------------------------------------------------------

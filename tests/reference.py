@@ -1,14 +1,19 @@
-"""Series-built references for the tests: the generating series of
-`affine` and the lemma's factors and sides as `bkpnpoint.series.Series`.
+"""References for the tests.
 
-The program builds no `Series`; these place its term tables in one, so the
-tests can compare the integer engines with plain Series arithmetic.
+* Series-built: the generating series of `affine` and the lemma's factors
+  and sides as `bkpnpoint.series.Series`.  The program builds no `Series`;
+  these place its term tables in one, so the tests can compare the integer
+  engines with plain Series arithmetic.
+* Mode actions one at a time: `apply_mode_ops`, which `fock.two_mode` and
+  the Hamiltonian images are held to.
 """
 
+from bisect import insort
 from fractions import Fraction
 
 from bkpnpoint import lemma
 from bkpnpoint.affine import bkp_terms, kp_terms
+from bkpnpoint.fock import _count_below
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
 
 
@@ -85,3 +90,49 @@ def lemma_side(which, k, spec, window):
     coeffs = {lemma._decode(key, k, window): Fraction(v, common ** k)
               for key, v in acc.items() if v}
     return Series(2 * k, uniform_window(2 * k, -window, window), coeffs)
+
+
+def _insert(state, m2: int):
+    """Wedge mode ``m2`` in; ``None`` if occupied, else ``(state, sign)``."""
+    bubbles, holes = state
+    if m2 < 0:
+        if m2 in bubbles:
+            return None
+        new = list(bubbles)
+        insort(new, m2)
+        out = (tuple(new), holes)
+    else:
+        if m2 not in holes:
+            return None  # sea mode already occupied
+        out = (bubbles, tuple(h for h in holes if h != m2))
+    sign = -1 if _count_below(bubbles, holes, m2) & 1 else 1
+    return out, sign
+
+
+def _remove(state, m2: int):
+    """Contract mode ``m2`` out; ``None`` if unoccupied."""
+    bubbles, holes = state
+    if m2 < 0:
+        if m2 not in bubbles:
+            return None
+        out = (tuple(b for b in bubbles if b != m2), holes)
+    else:
+        if m2 in holes:
+            return None
+        new = list(holes)
+        insort(new, m2)
+        out = (bubbles, tuple(new))
+    sign = -1 if _count_below(bubbles, holes, m2) & 1 else 1
+    return out, sign
+
+
+def apply_mode_ops(state, ops):
+    """Apply ``(kind, m2)`` pairs right to left; kinds ``+`` insert, ``-`` remove."""
+    sign = 1
+    for kind, m2 in reversed(ops):
+        res = _insert(state, m2) if kind == "+" else _remove(state, m2)
+        if res is None:
+            return None
+        state, s = res
+        sign *= s
+    return state, sign

@@ -50,6 +50,16 @@ def test_validate_rejects_negative_index():
         validate_b([(-1, 0, 1)])
 
 
+def test_validate_rejects_bool_index():
+    # bool is an int subclass; a bool index would be dumped as JSON true,
+    # which parse_affine_b refuses
+    for row in ((True, False, 1), (2, True, 1), (False, 3, 1)):
+        with pytest.raises(ValueError, match="integers"):
+            validate_b([row])
+    with pytest.raises(ValueError, match="integers"):
+        validate_b({(True, 0): 1})
+
+
 def test_bkp_to_kp_frozen_single_entry():
     kp = bkp_to_kp(validate_b([(1, 0, 1)]))
     assert kp.entries == {(0, 0): -2, (0, 1): 2}
@@ -222,6 +232,8 @@ def test_parse_rejects_malformed_records():
         [[1, 0, "1/0"]],
         [[1, 0, None]],
         [["1", 0, "1"]],
+        [[True, 0, "1"]],
+        [[1, 0, True]],
         [[1, 0, "x"]],
     ):
         with pytest.raises(ValueError):

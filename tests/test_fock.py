@@ -14,7 +14,7 @@ from bkpnpoint.fock import (
     _apply_terms,
     _h_b_image,
     _h_kp_image,
-    apply_mode_ops,
+    _phi_phi_terms,
     charge,
     check_square_relation,
     check_state_equality,
@@ -24,19 +24,18 @@ from bkpnpoint.fock import (
     exp_iteration_limit,
     needed_cutoff2,
     odd_tuples,
-    phi_phi,
     phi_phi_generator,
     poly_log,
     poly_mul,
     psi_generator_embedded,
     psi_generator_kp,
-    psi_psi_star,
     tau_coefficients_bkp,
     tau_coefficients_kp,
     tau_table,
     two_mode,
 )
 from bkpnpoint.sampling import random_affine_b
+from reference import apply_mode_ops
 
 F = Fraction
 
@@ -54,7 +53,7 @@ def test_h_kp_moves_particle_to_vacuum():
 
 
 def test_phi_phi_on_vacuum_frozen():
-    res, clipped = _apply_terms(phi_phi(0, 1, 1).mode_terms(),
+    res, clipped = _apply_terms(_phi_phi_terms(0, 1, F(1)),
                                 {VACUUM: F(1)}, 10)
     assert not clipped
     assert res == {
@@ -66,8 +65,8 @@ def test_phi_phi_on_vacuum_frozen():
 def test_phi_phi_antisymmetric_combination_pairs_to_minus_one():
     # <0| H^B_1 (phi_0 phi_1 - phi_1 phi_0) |0> = -1
     vac = {VACUUM: F(1)}
-    a, _ = _apply_terms(phi_phi(0, 1, 1).mode_terms(), vac, 10)
-    c, _ = _apply_terms(phi_phi(1, 0, -1).mode_terms(), vac, 10)
+    a, _ = _apply_terms(_phi_phi_terms(0, 1, F(1)), vac, 10)
+    c, _ = _apply_terms(_phi_phi_terms(1, 0, F(-1)), vac, 10)
     vec = dict(a)
     for s, v in c.items():
         vec[s] = vec.get(s, F(0)) + v
@@ -177,15 +176,39 @@ def test_cutoff_bump_does_not_change_tau():
 
 
 def test_exp_rejects_non_raising_operator():
+    # psi_{1/2} psi*_{-1/2} and phi_0 phi_0
     with pytest.raises(ValueError, match="raise"):
-        exp_bilinear_vacuum([psi_psi_star(1, -1, F(1))], 10)
+        exp_bilinear_vacuum([((True, 1, False, 1), F(1))], 10)
     with pytest.raises(ValueError, match="raise"):
-        exp_bilinear_vacuum([phi_phi(0, 0, F(1))], 10)
+        exp_bilinear_vacuum(list(_phi_phi_terms(0, 0, F(1))), 10)
 
 
-def test_psi_indices_must_be_odd():
-    with pytest.raises(ValueError, match="odd"):
-        psi_psi_star(2, -1, F(1))
+def _admitted(term):
+    try:
+        exp_bilinear_vacuum([term], 4)
+    except ValueError:
+        return False
+    return True
+
+
+def test_raise_rule_admits_what_the_per_kind_rules_admitted():
+    # phi_m phi_n needs m + n >= 1, psi_r psi*_s needs -(r2 + s2) >= 2
+    for m in range(-6, 7):
+        for n in range(-6, 7):
+            for term in _phi_phi_terms(m, n, F(1)):
+                assert _admitted(term) == (m + n >= 1), (m, n, term)
+    for r2 in range(-13, 14, 2):
+        for s2 in range(-13, 14, 2):
+            term = ((True, r2, False, -s2), F(1))
+            assert _admitted(term) == (-(r2 + s2) >= 2), (r2, s2)
+
+
+def test_raise_rule_admits_every_generator_term():
+    for seed in range(50):
+        b = random_affine_b(seed)
+        for form, terms in _generators(b):
+            for term in terms:
+                assert _admitted(term), (seed, form, term)
 
 
 def test_poly_log_inverts_exp():
@@ -341,26 +364,27 @@ def test_tau_table_matches_vector_reference(seed):
 # -- test-only references: the Fraction exp loop and the mode-op chain ------
 
 
-def _chain_apply_quadratic(op, vec, cutoff2):
-    """``op * vec`` through ``apply_mode_ops``, one ``Fraction`` per term."""
+def _chain_apply_term(modes, k, vec, cutoff2):
+    """``k * modes`` on ``vec`` through ``apply_mode_ops``, one ``Fraction``
+    per state."""
+    a_ins, a, b_ins, b = modes
+    ops = (("+" if a_ins else "-", a), ("+" if b_ins else "-", b))
     out = {}
     clipped = False
     for state, c in vec.items():
-        for (a_ins, a, b_ins, b), k in op.mode_terms():
-            res = apply_mode_ops(state, (("+" if a_ins else "-", a),
-                                         ("+" if b_ins else "-", b)))
-            if res is None:
-                continue
-            new, sign = res
-            if energy2(new) > cutoff2:
-                clipped = True
-                continue
-            out[new] = out.get(new, F(0)) + c * k * sign
+        res = apply_mode_ops(state, ops)
+        if res is None:
+            continue
+        new, sign = res
+        if energy2(new) > cutoff2:
+            clipped = True
+            continue
+        out[new] = out.get(new, F(0)) + c * k * sign
     return {s: c for s, c in out.items() if c != 0}, clipped
 
 
-def _fraction_exp(ops, cutoff2):
-    """``exp(sum ops)|0>`` term by term over ``Fraction``.
+def _fraction_exp(terms, cutoff2):
+    """``exp(sum terms)|0>`` term by term over ``Fraction``.
 
     Returns the vector and the last ``j`` with a nonzero term.
     """
@@ -371,8 +395,8 @@ def _fraction_exp(ops, cutoff2):
     while term:
         j += 1
         acc = {}
-        for op in ops:
-            part, clip = _chain_apply_quadratic(op, term, cutoff2)
+        for modes, k in terms:
+            part, clip = _chain_apply_term(modes, k, term, cutoff2)
             clipped = clipped or clip
             for s, c in part.items():
                 acc[s] = acc.get(s, F(0)) + c
@@ -419,12 +443,12 @@ def test_exp_iteration_bound_leading_term_is_reached():
     # psi_m psi*_{-(m+2)} moves a particle from mode m+2 down to m and
     # raises E2 by 2, so the sea can be lowered one step at a time up to
     # the cutoff: cutoff2 / 2 nonzero terms
-    ops = [psi_psi_star(m, -(m + 2), 1) for m in range(-15, 15, 2)]
+    terms = [((True, m, False, m + 2), F(1)) for m in range(-15, 15, 2)]
     for cutoff2 in (12, 13, 22):
-        _, last = _fraction_exp(ops, cutoff2)
+        _, last = _fraction_exp(terms, cutoff2)
         assert last == cutoff2 // 2 < exp_iteration_limit(cutoff2)
-        assert exp_bilinear_vacuum(ops, cutoff2).coeffs == _fraction_exp(
-            ops, cutoff2
+        assert exp_bilinear_vacuum(terms, cutoff2).coeffs == _fraction_exp(
+            terms, cutoff2
         )[0].coeffs
 
 
