@@ -23,6 +23,7 @@ from .fock import (
 )
 from .lemma import first_lemma_difference, instantiate_from_affine
 from .npoint import (
+    TableCheckError,
     compare_formulas,
     embedded_npoint_series,
     npoint_table,
@@ -315,6 +316,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TableCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -48,7 +48,8 @@ cutting the infinite expansions there is the truncation itself.  The s
 and t terms have p, q <= 0 and leave the box exactly when an index of the
 spec exceeds W; `_factor` drops them there.
 
-Contraction.  Both sides come from one exact engine, `_contract`.
+Contraction.  The check contracts the difference LHS - 2^k RHS in one
+exact engine, `_contract`.
 
 * Box keys.  With W the window and B = 2W + 1, the monomial with exponents
   e_0, ..., e_{2k-1} (all in [-W, W]) has the integer key
@@ -69,18 +70,39 @@ Contraction.  Both sides come from one exact engine, `_contract`.
   prod eps_j is folded into the factors.  The factors still to come depend
   only on the visited set, the last index j, eps_j and eps_1.  So for each
   eps_1 the engine keeps one dict from partial key to integer per state
-  (visited set, j, eps_j), and extends the sum of all chains reaching a
-  state once, by the next factor; closing multiplies by the factor back to
-  index 1.  By distributivity this equals the sum of the chain products,
-  term for term.
+  (visited set, j, eps_j, stage; the stage is below), and extends the sum
+  of all chains reaching a state once, by the next factor; closing
+  multiplies by the factor back to index 1.  By distributivity this equals
+  the sum of the chain products, term for term.
+* Telescoping.  Put h = f - 2g.  For the k factors of one chain,
+
+      prod_i f_i - prod_i 2 g_i
+          = sum_i (prod_{j<i} f_j) h_i (prod_{j>i} 2 g_j),
+
+  and summing this over the chains gives LHS - 2^k RHS.  The stage is the
+  bit "switched yet": a step takes f from stage 0 to 0, h from 0 to 1, or
+  2g from 1 to 1, and only chains that end at stage 1 are kept, which are
+  exactly the k terms of the sum above.  h is the difference of the two
+  truncated tables of `_factor`, so the pass equals LHS - 2^k RHS by this
+  algebra alone, whatever the tables hold.  It is cheap because h is
+  sparse: the s terms cancel in f - 2g, and so do the kernel terms of
+  both directions, which leaves h(a, b) = (1 - 2t(a))(1 - 2t(b)) on the
+  box at d = +-1 and that minus 1 at d = 0, (1 + #t)^2 terms at most.
+  The stage-0 sums are the partial f-products of the LHS alone, but they
+  close with the few terms of h instead of f's, and each stage-1 sum holds
+  an h factor, so it spans fewer keys than the partial g-product of the
+  RHS alone.  One side alone is the same engine with one move (f or 2g,
+  stage 0 to 0).
 * Two walks.  x_1 sits in the first step's first slot when eps_1 = -1 and
   in the closing step's second slot when eps_1 = +1.  So the eps_1 = +1
   chains are walked backwards, 1 -> j_k -> ... -> j_2 -> 1, over the
   transposed steps {(j2, j1, e2, e1): items}.  Reversal maps the chains
   one to one onto themselves, and a reversed chain over the transposed
   steps takes the same keyed integer items as the chain itself; a product
-  does not depend on the order its factors are taken in.  In both walks
-  the first factor fills x_1, and index 1 is left by that factor only.
+  does not depend on the order its factors are taken in, and neither does
+  the telescoped sum, which is prod f - prod 2g for any order of the k
+  factors.  In both walks the first factor fills x_1, and index 1 is left
+  by that factor only.
 * Slices.  Position 0 (x_1) is the most significant digit of a key, and a
   chain's x_1 digit is its first factor's.  Restricting the first factor's
   terms to one digit (its lead) therefore splits the chains into disjoint
@@ -91,11 +113,12 @@ Contraction.  Both sides come from one exact engine, `_contract`.
   with a nonzero value holds the smallest nonzero key of the whole
   difference: key order is tuple order.
 
-`first_lemma_difference` contracts each slice of the LHS with scale +1 and
-of the RHS with scale -2^k into one dict, drops it once it is all zero, and
-stops at the first slice that is not.  It decodes that slice's smallest
-nonzero key and contracts the slice again with the two sides apart, to read
-their coefficients there; so it never holds the whole difference.
+`first_lemma_difference` builds the tables of f, h and 2g once per kernel
+direction and contracts LHS - 2^k RHS one slice at a time in the
+telescoped pass, dropping each slice once it is all zero, and stops at the
+first slice that is not.  It decodes that slice's smallest nonzero key and
+contracts the slice again with the two sides apart (f alone, 2g alone), to
+read their coefficients there; so it never holds the whole difference.
 
 Cost limit.  Before any factor is built, one factor's terms are bounded from
 the spec: the kernel pieces lie on the anti-diagonal e_a + e_b = 0 (at most
@@ -244,11 +267,30 @@ def _denominator(table) -> int:
                     for c in fac.values()))
 
 
+def _sides(k: int, spec: SeriesPairSpec, window: int):
+    """``(common, [f, h, 2g])``: the walks (see `_walks`) of f, of
+    h = f - 2g and of 2g, over their common denominator ``common``."""
+    # one table per kernel direction: every step of k = 1 joins index 1 to
+    # itself, and at k >= 2 no step does
+    directions = (0,) if k == 1 else (1, -1)
+    f = {d: _factor("LHS", spec, d, window) for d in directions}
+    g2 = {d: {pq: 2 * c for pq, c in _factor("RHS", spec, d, window).items()}
+          for d in directions}
+    # h from the tables themselves, so that the telescoped pass is
+    # LHS - 2^k RHS whatever `_factor` returns
+    h = {d: {pq: v for pq in {**f[d], **g2[d]}
+             if (v := f[d].get(pq, ZERO) - g2[d].get(pq, ZERO))}
+         for d in directions}
+    tables = (f, h, g2)
+    common = lcm(*map(_denominator, tables))
+    return common, [_walks(table, k, window, common) for table in tables]
+
+
 def _walks(tables, k: int, window: int, common: int):
-    """The factors of one side, from its ``{direction: table}`` (see
-    `_factor`), as lists of (box key, integer) items over ``common``,
-    arranged as the two walks of `_contract`: eps_1 = -1 over the steps as
-    they are, eps_1 = +1 over the transposed steps."""
+    """The factors of one table set ``{direction: table}`` (see `_factor`)
+    as lists of (box key, integer) items over ``common``, arranged as the
+    two walks of `_contract`: ``{-1: steps, 1: transposed steps}``, keyed
+    by eps_1."""
     nvars = 2 * k
     weight = [(2 * window + 1) ** (nvars - 1 - p) for p in range(nvars)]
     # Cycle step j1 -> j2 under signs (e1, e2), indices 0-based: the first
@@ -269,7 +311,7 @@ def _walks(tables, k: int, window: int, common: int):
         ]
     back = {(j2, j1, e2, e1): items
             for (j1, j2, e1, e2), items in steps.items()}
-    return ((-1, steps), (1, back))
+    return {-1: steps, 1: back}
 
 
 def _slices(sides, k: int, window: int):
@@ -278,42 +320,52 @@ def _slices(sides, k: int, window: int):
     the terms of that digit (see the module docstring)."""
     top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
     # a walk leaves index 0 once, by its first factor, which fills x_1
-    firsts = [[{step: items for step, items in steps.items()
-                if step[0] == 0 and step[2] == e0} for e0, steps in walks]
+    firsts = [{e0: {step: items for step, items in steps.items()
+                    if step[0] == 0 and step[2] == e0}
+               for e0, steps in walks.items()}
               for walks in sides]
-    leads = {key // top for side in firsts for first in side
+    leads = {key // top for side in firsts for first in side.values()
              for items in first.values() for key, _ in items}
 
     def cut(walks, side, lead):
-        return tuple(
-            (e0, {**steps, **{step: [(key, c) for key, c in items
-                                     if key // top == lead]
-                              for step, items in first.items()}})
-            for (e0, steps), first in zip(walks, side))
+        return {e0: {**steps, **{step: [(key, c) for key, c in items
+                                        if key // top == lead]
+                                 for step, items in side[e0].items()}}
+                for e0, steps in walks.items()}
 
     for lead in sorted(leads):
         yield lead, [cut(walks, side, lead)
                      for walks, side in zip(sides, firsts)]
 
 
-def _contract(walks, k: int, scale: int, acc: Dict[int, int]) -> None:
-    """Add ``scale * common^k`` times the chains of ``walks`` (see `_walks`)
-    into ``acc``, keyed by box keys (see the module docstring)."""
-    for e0, steps in walks:
-        layer = {(1, 0, e0): {0: scale}}
+def _contract(moves, k: int, acc: Dict[int, int]) -> None:
+    """Add ``common^k`` times the chains of ``moves`` into ``acc``, keyed by
+    box keys (see the module docstring).  ``moves`` lists ``(src, dst,
+    walks)`` with walks from `_walks`: a step from stage ``src`` takes a
+    factor of ``walks`` to stage ``dst``.  Chains start at stage 0, and
+    only those that end at the last stage are added."""
+    last = max(dst for _, dst, _ in moves)
+    for e0 in (-1, 1):
+        layer = {(1, 0, e0, 0): {0: 1}}
         for _ in range(k - 1):
             grown: dict = {}
-            for (seen, j, ej), partial in layer.items():
-                for j2 in range(1, k):
-                    if seen >> j2 & 1:
+            for (seen, j, ej, stage), partial in layer.items():
+                for src, dst, walks in moves:
+                    if src != stage:
                         continue
-                    for e2 in (1, -1):
-                        state = (seen | 1 << j2, j2, e2)
-                        _extend(grown.setdefault(state, {}), partial,
-                                steps[j, j2, ej, e2])
+                    steps = walks[e0]
+                    for j2 in range(1, k):
+                        if seen >> j2 & 1:
+                            continue
+                        for e2 in (1, -1):
+                            state = (seen | 1 << j2, j2, e2, dst)
+                            _extend(grown.setdefault(state, {}), partial,
+                                    steps[j, j2, ej, e2])
             layer = grown
-        for (_, j, ej), partial in layer.items():
-            _extend(acc, partial, steps[j, 0, ej, e0])
+        for (_, j, ej, stage), partial in layer.items():
+            for src, dst, walks in moves:
+                if src == stage and dst == last:
+                    _extend(acc, partial, walks[e0][j, 0, ej, e0])
 
 
 def _extend(out: Dict[int, int], partial: Dict[int, int], factor) -> None:
@@ -346,27 +398,20 @@ def first_lemma_difference(
 ) -> Optional[Tuple[tuple, Fraction, Fraction]]:
     """Smallest differing monomial between the two sides, or None.
 
-    The difference is built and dropped one x_1 slice at a time, in
-    increasing order (see the module docstring)."""
+    The difference is contracted in one telescoped pass and dropped one
+    x_1 slice at a time, in increasing order (see the module docstring)."""
     _validate(k, spec, window)
-    # one table per kernel direction: every step of k = 1 joins index 1 to
-    # itself, and at k >= 2 no step does
-    directions = (0,) if k == 1 else (1, -1)
-    tables = [{d: _factor(which, spec, d, window) for d in directions}
-              for which in ("LHS", "RHS")]
-    common = lcm(*map(_denominator, tables))
-    sides = [_walks(table, k, window, common) for table in tables]
-    for _, (lhs, rhs) in _slices(sides, k, window):
+    common, sides = _sides(k, spec, window)
+    for _, (lhs, diff, rhs) in _slices(sides, k, window):
         acc: Dict[int, int] = {}
-        _contract(lhs, k, 1, acc)
-        _contract(rhs, k, -(2 ** k), acc)
+        _contract(((0, 0, lhs), (0, 1, diff), (1, 1, rhs)), k, acc)
         first = min((key for key, v in acc.items() if v), default=None)
         if first is not None:
             # this slice again with the two sides apart, for their values
             lhs_acc: Dict[int, int] = {}
             rhs_acc: Dict[int, int] = {}
-            _contract(lhs, k, 1, lhs_acc)
-            _contract(rhs, k, 2 ** k, rhs_acc)
+            _contract(((0, 0, lhs),), k, lhs_acc)
+            _contract(((0, 0, rhs),), k, rhs_acc)
             den = common ** k
             return (_decode(first, k, window),
                     Fraction(lhs_acc.get(first, 0), den),

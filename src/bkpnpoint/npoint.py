@@ -94,9 +94,9 @@ factor exponent, so it is exact for every window.  Columns are cached per
 tail.
 
 Checks.  wangyang does not project variable 0: every column it computes is
-checked, and a nonzero entry at an even ``e_0`` raises ``ArithmeticError``
+checked, and a nonzero entry at an even ``e_0`` raises `TableCheckError`
 (a truncation window that is too small shows up this way).  `npoint_table`
-asserts the permutation symmetry of every table.
+asserts the permutation symmetry of every table and raises the same error.
 
 Cost limit.  A run visits at most ``2^{n-1} (n-1) (hi - lo + 1)`` states
 and extends each by at most one factor's terms, ``hi - lo + 2`` plus the
@@ -234,6 +234,11 @@ class WindowError(KeyError):
     """A coefficient was requested outside the truncation window."""
 
 
+class TableCheckError(ArithmeticError):
+    """A table failed its own check (head parity or permutation symmetry):
+    the truncation window is too small."""
+
+
 class CycleSum:
     """Coefficients of one closed cycle formula on the all-negative box.
 
@@ -279,7 +284,7 @@ class CycleSum:
         if self._head_checked:
             for e0, v in acc.items():
                 if v and e0 % 2 != want:
-                    raise ArithmeticError(
+                    raise TableCheckError(
                         f"parity violation at {(e0,) + tail}: truncation "
                         "window too small"
                     )
@@ -391,7 +396,7 @@ def npoint_table(series, n: int, max_weight: int, *, index_shift: int,
         value = series.coefficient(exps)
         for perm in _orderings(exps):
             if series.coefficient(perm) != value:
-                raise ArithmeticError(
+                raise TableCheckError(
                     f"table not symmetric at {key}: {perm} differs"
                 )
         out[key] = value

@@ -72,21 +72,13 @@ def factor(which, spec, a, b, window):
                  window, position(a), position(b))
 
 
-def tables(which, k, spec, window):
-    """One side's ``{direction: table}``, as `first_lemma_difference`
-    builds it."""
-    return {d: lemma._factor(which, spec, d, window)
-            for d in ((0,) if k == 1 else (1, -1))}
-
-
 def lemma_side(which, k, spec, window):
     """One side of the lemma identity on the box |exponent| <= window, from
-    the program's engine in one unsliced pass; "RHS" includes the 2^k."""
-    table = tables(which, k, spec, window)
-    common = lemma._denominator(table)
+    the program's engine in one unsliced pass, f alone for "LHS" and 2g
+    alone for "RHS" (so it includes the 2^k)."""
+    common, (lhs, _, rhs) = lemma._sides(k, spec, window)
     acc = {}
-    lemma._contract(lemma._walks(table, k, window, common), k,
-                    2 ** k if which == "RHS" else 1, acc)
+    lemma._contract(((0, 0, lhs if which == "LHS" else rhs),), k, acc)
     coeffs = {lemma._decode(key, k, window): Fraction(v, common ** k)
               for key, v in acc.items() if v}
     return Series(2 * k, uniform_window(2 * k, -window, window), coeffs)

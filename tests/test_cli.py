@@ -128,6 +128,33 @@ def test_npoint_large_n_refused_up_front(capsys, one_entry_coords, monkeypatch):
     assert limit in capsys.readouterr().err
 
 
+GOLDEN_COORDS = str(
+    Path(__file__).resolve().parent / "golden" / "coords.json")
+
+
+@pytest.mark.parametrize("cap", ["0", "1"])
+def test_npoint_too_small_cap_is_one_error_line(capsys, cap):
+    # the table fails its own symmetry check: exit 1, one line, no output
+    code = main(["npoint", "--coords", GOLDEN_COORDS, "--n", "2",
+                 "--max-weight", "7", "--window-cap", cap])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: table not symmetric at (1, 3): (-3, -1) differs\n")
+
+
+def test_npoint_other_arithmetic_errors_propagate(monkeypatch,
+                                                  one_entry_coords):
+    def divide(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "npoint_table", divide)
+    with pytest.raises(ZeroDivisionError):
+        main(["npoint", "--coords", one_entry_coords, "--n", "1",
+              "--max-weight", "3"])
+
+
 def test_npoint_oracle_has_no_cycle_limit(capsys, one_entry_coords):
     code, doc = run_json(capsys, [
         "npoint", "--coords", one_entry_coords, "--n", "8",

@@ -18,7 +18,7 @@ from bkpnpoint.lemma import (
 from bkpnpoint.npoint import compare_formulas
 from bkpnpoint.sampling import random_affine_b, random_series_pair_spec
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
-from reference import factor, lemma_side, position, tables
+from reference import factor, lemma_side, position
 
 F = Fraction
 W6 = uniform_window(4, -6, 6)
@@ -423,6 +423,16 @@ def test_engine_matches_half_enumeration_k4():
                           _reference_side(which, 4, spec, 4))
 
 
+def _break_g(monkeypatch, other):
+    # g built from a second spec breaks the identity but keeps the flavor
+    # swap symmetry the half-enumeration reference relies on.
+    factor = lemma._factor
+    monkeypatch.setattr(
+        lemma, "_factor",
+        lambda which, given, d, w: factor(
+            which, other if which == "RHS" else given, d, w))
+
+
 @pytest.mark.parametrize("k,window,spec,other", [
     (1, 6, random_series_pair_spec(0), random_series_pair_spec(1)),
     (2, 6, random_series_pair_spec(3), random_series_pair_spec(4)),
@@ -435,13 +445,7 @@ def test_engine_matches_half_enumeration_k4():
 ])
 def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
                                                 other):
-    # g built from a second spec breaks the identity but keeps the flavor
-    # swap symmetry the half-enumeration reference relies on.
-    factor = lemma._factor
-    monkeypatch.setattr(
-        lemma, "_factor",
-        lambda which, given, d, w: factor(
-            which, other if which == "RHS" else given, d, w))
+    _break_g(monkeypatch, other)
     lhs = _reference_side("LHS", k, spec, window)
     rhs = _reference_side("RHS", k, spec, window)
     diff = lhs.sub(rhs)
@@ -457,14 +461,9 @@ def test_first_difference_past_the_smallest_slice(monkeypatch):
     # first difference lies past it
     spec = _spec(s={(1, 2): F(1)}, t={3: F(1)})
     other = _spec(s={(1, 2): F(2)}, t={3: F(1)})
-    table = tables("LHS", 1, spec, 6)
-    walks = lemma._walks(table, 1, 6, lemma._denominator(table))
-    assert next(lemma._slices([walks], 1, 6))[0] - 6 == -3
-    factor = lemma._factor
-    monkeypatch.setattr(
-        lemma, "_factor",
-        lambda which, given, d, w: factor(
-            which, other if which == "RHS" else given, d, w))
+    _, sides = lemma._sides(1, spec, 6)
+    assert next(lemma._slices(sides, 1, 6))[0] - 6 == -3
+    _break_g(monkeypatch, other)
     assert first_lemma_difference(1, spec, 6)[0][0] > -3
 
 
@@ -480,10 +479,12 @@ def test_first_difference_at_window_zero(monkeypatch):
     walks = lemma._walks
 
     def tripled_walks(*args):
+        # every table goes through here, f, h = f - 2g and 2g alike, so h
+        # stays the difference of the tripled f and 2g
         out = walks(*args)
         # the eps_1 = -1 walk keys the steps as they are; the other walk
         # shares their item lists
-        for (_, _, e1, e2), items in out[0][1].items():
+        for (_, _, e1, e2), items in out[-1].items():
             if e1 == e2:
                 items[:] = [(key, 3 * c) for key, c in items]
         return out
@@ -502,6 +503,11 @@ def test_first_difference_at_window_zero(monkeypatch):
     assert not check_lemma(2, spec, 0)
 
 
+def _telescoped(lhs, diff, rhs):
+    # the moves of LHS - 2^k RHS: f (stage 0 -> 0), h (0 -> 1), 2g (1 -> 1)
+    return ((0, 0, lhs), (0, 1, diff), (1, 1, rhs))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_slices_partition_the_unsliced_difference(k):
     # the x_1 slices of LHS - 2^k RHS come in increasing lead, each holds
@@ -511,23 +517,84 @@ def test_slices_partition_the_unsliced_difference(k):
     top = (2 * window + 1) ** (2 * k - 1)
     for seed in range(10):
         spec = random_series_pair_spec(seed)
-        both = [tables(which, k, spec, window) for which in ("LHS", "RHS")]
-        common = lcm(*map(lemma._denominator, both))
-        sides = [lemma._walks(t, k, window, common) for t in both]
-        scales = (1, -2 ** k)
+        _, sides = lemma._sides(k, spec, window)
         whole = {}
-        for walks, scale in zip(sides, scales):
-            lemma._contract(walks, k, scale, whole)
+        lemma._contract(_telescoped(*sides), k, whole)
         sliced, leads = {}, []
         for lead, cut in lemma._slices(sides, k, window):
             leads.append(lead)
             part = {}
-            for walks, scale in zip(cut, scales):
-                lemma._contract(walks, k, scale, part)
+            lemma._contract(_telescoped(*cut), k, part)
             assert all(key // top == lead for key in part)
             sliced.update(part)
         assert leads == sorted(set(leads))
         assert sliced == whole
+
+
+def _nonzero(acc):
+    return {key: v for key, v in acc.items() if v}
+
+
+def _difference_both_ways(k, spec, window):
+    """LHS - 2^k RHS unsliced, from the telescoped pass and from the two
+    sides contracted apart, as integers over common^k."""
+    _, (lhs, diff, rhs) = lemma._sides(k, spec, window)
+    telescoped, apart, rhs_acc = {}, {}, {}
+    lemma._contract(_telescoped(lhs, diff, rhs), k, telescoped)
+    lemma._contract(((0, 0, lhs),), k, apart)
+    lemma._contract(((0, 0, rhs),), k, rhs_acc)
+    for key, v in rhs_acc.items():
+        apart[key] = apart.get(key, 0) - v
+    return _nonzero(telescoped), _nonzero(apart)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("window", [0, 2, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_telescoped_pass_equals_sides_apart(monkeypatch, k, window, broken):
+    for seed in range(8):
+        spec = random_series_pair_spec(seed)
+        with monkeypatch.context() as patch:
+            if broken:  # g from another spec
+                _break_g(patch, random_series_pair_spec(seed + 8))
+            telescoped, apart = _difference_both_ways(k, spec, window)
+        assert telescoped == apart
+        # at window 0 every factor is its kernel constant, which no spec
+        # changes, so only a positive window can break the identity
+        assert bool(apart) == (broken and window > 0)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_telescoped_pass_equals_sides_apart_k4(monkeypatch, broken):
+    if broken:
+        _break_g(monkeypatch, _spec(s={(1, 3): F(1)}, t={2: F(1, 2)}))
+    telescoped, apart = _difference_both_ways(4, _spec(**SMALL_K4_SPEC), 3)
+    assert telescoped == apart
+    assert bool(apart) == broken
+
+
+@pytest.mark.parametrize("window", [0, 3, 6])
+def test_f_minus_2g_is_the_t_product(window):
+    # the s terms and, at d = +-1, the kernels cancel in h = f - 2g, which
+    # leaves (1 - 2t(a))(1 - 2t(b)) on the box, minus 1 at d = 0; the
+    # telescoped pass is cheap because h is this sparse
+    for seed in range(40):
+        spec = random_series_pair_spec(seed)
+        one_minus_2t = {0: F(1)}
+        for m, c in spec.t_entries.items():
+            if m <= window:
+                one_minus_2t[-m] = -2 * c
+        product_terms = {(p, q): a * b for p, a in one_minus_2t.items()
+                         for q, b in one_minus_2t.items()}
+        for d in (1, 0, -1):
+            f = lemma._factor("LHS", spec, d, window)
+            g = lemma._factor("RHS", spec, d, window)
+            h = {pq: f.get(pq, 0) - 2 * g.get(pq, 0)
+                 for pq in f.keys() | g.keys()}
+            want = dict(product_terms)
+            if d == 0:
+                want[0, 0] -= 1
+            assert _nonzero(h) == _nonzero(want)
 
 
 @pytest.mark.parametrize("k,calls", [(1, 2), (2, 4), (3, 4), (4, 4)])
