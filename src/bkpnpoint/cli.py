@@ -11,6 +11,8 @@ files (JSON with sorted keys, rationals rendered as "p/q" strings).
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 from functools import partial
@@ -109,19 +111,21 @@ def _emit(doc: dict, args) -> None:
 
 
 def _to_csv(doc: dict) -> str:
-    lines = []
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     if doc["command"] == "npoint":
-        lines.append("formula,indices,value")
+        writer.writerow(("formula", "indices", "value"))
         for route in sorted(doc["tables"]):
             for record in doc["tables"][route]:
                 indices = ":".join(str(i) for i in record["indices"])
-                lines.append(f"{route},{indices},{record['value']}")
+                writer.writerow((route, indices, record["value"]))
     else:
-        lines.append("check,passed,detail")
+        writer.writerow(("check", "passed", "detail"))
         for check in doc["checks"]:
-            detail = check["detail"] or ""
-            lines.append(f"{check['name']},{str(check['passed']).lower()},{detail}")
-    return "\n".join(lines) + "\n"
+            # a missing detail (None) is written as an empty field
+            writer.writerow((check["name"], str(check["passed"]).lower(),
+                             check["detail"]))
+    return out.getvalue()
 
 
 def _table_records(table: dict) -> list:

@@ -445,15 +445,6 @@ def tau_coefficients_bkp(b: AffineB, max_weight: int, cutoff_bump: int = 0):
     return tau_table(vec, "b", max_weight, odd_only=True)
 
 
-def tau_coefficients_kp(
-    kp: AffineKP, max_weight: int, odd_only: bool = False, cutoff_bump: int = 0
-):
-    """KP tau coefficients for monomial weights ``<= max_weight``."""
-    cutoff2 = 2 * (max_weight + cutoff_bump)
-    vec = exp_bilinear_vacuum(psi_generator_kp(kp), cutoff2)
-    return tau_table(vec, "kp", max_weight, odd_only=odd_only)
-
-
 # -- log and connected functions --------------------------------------------
 
 

@@ -104,21 +104,23 @@ exact engine, `_contract`.
   factors.  In both walks the first factor fills x_1, and index 1 is left
   by that factor only.
 * Slices.  Position 0 (x_1) is the most significant digit of a key, and a
-  chain's x_1 digit is its first factor's.  Restricting the first factor's
-  terms to one digit (its lead) therefore splits the chains into disjoint
-  sets, one per lead, and the same DP contracts each set; the slices
-  together do the work of one unsliced pass.  A slice holds exactly the
-  keys whose lead digit is its lead, so when the slices are visited in
-  increasing lead (leads no first factor has are skipped), the first slice
-  with a nonzero value holds the smallest nonzero key of the whole
+  chain's x_1 digit is its first factor's, the one that leaves index 1.
+  Keeping only that factor's terms of one digit (its lead) splits the
+  chains into disjoint sets, one per lead, which `_contract` contracts with
+  the same DP; together the slices do the work of one unsliced pass.  Only
+  f and h leave index 1, at stage 0 (2g follows an h step), so the leads
+  come from their first factors.  A slice holds exactly the keys of its
+  lead digit, so when the slices are visited in increasing lead, the first
+  slice with a nonzero value holds the smallest nonzero key of the whole
   difference: key order is tuple order.
 
 `first_lemma_difference` builds the tables of f, h and 2g once per kernel
-direction and contracts LHS - 2^k RHS one slice at a time in the
-telescoped pass, dropping each slice once it is all zero, and stops at the
-first slice that is not.  It decodes that slice's smallest nonzero key and
-contracts the slice again with the two sides apart (f alone, 2g alone), to
-read their coefficients there; so it never holds the whole difference.
+direction, contracts LHS - 2^k RHS one slice at a time in the telescoped
+pass and stops at the first slice that is not all zero; so it never holds
+the whole difference.  It decodes that slice's smallest nonzero key and
+contracts the slice once more with f alone, to read LHS there; 2^k RHS is
+LHS minus the difference, exactly, since the pass equals LHS - 2^k RHS by
+the telescoping algebra alone.
 
 Cost limit.  Before any factor is built, one factor's terms are bounded from
 the spec: the kernel pieces lie on the anti-diagonal e_a + e_b = 0 (at most
@@ -314,37 +316,34 @@ def _walks(tables, k: int, window: int, common: int):
     return {-1: steps, 1: back}
 
 
-def _slices(sides, k: int, window: int):
-    """Yield each x_1 digit that a first factor has, in increasing order,
-    with the walks of every side in ``sides``, their first factors kept to
-    the terms of that digit (see the module docstring)."""
+def _leads(sides, k: int, window: int) -> list:
+    """The x_1 digits, in increasing order, of the factors that leave index
+    1 in the walk sets ``sides`` (see `_walks`)."""
     top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
-    # a walk leaves index 0 once, by its first factor, which fills x_1
-    firsts = [{e0: {step: items for step, items in steps.items()
-                    if step[0] == 0 and step[2] == e0}
-               for e0, steps in walks.items()}
-              for walks in sides]
-    leads = {key // top for side in firsts for first in side.values()
-             for items in first.values() for key, _ in items}
-
-    def cut(walks, side, lead):
-        return {e0: {**steps, **{step: [(key, c) for key, c in items
-                                        if key // top == lead]
-                                 for step, items in side[e0].items()}}
-                for e0, steps in walks.items()}
-
-    for lead in sorted(leads):
-        yield lead, [cut(walks, side, lead)
-                     for walks, side in zip(sides, firsts)]
+    return sorted({key // top for walks in sides
+                   for e0, steps in walks.items()
+                   for step, items in steps.items()
+                   if step[0] == 0 and step[2] == e0
+                   for key, _ in items})
 
 
-def _contract(moves, k: int, acc: Dict[int, int]) -> None:
+def _contract(moves, k: int, window: int, acc: Dict[int, int],
+              lead: Optional[int] = None) -> None:
     """Add ``common^k`` times the chains of ``moves`` into ``acc``, keyed by
     box keys (see the module docstring).  ``moves`` lists ``(src, dst,
     walks)`` with walks from `_walks`: a step from stage ``src`` takes a
     factor of ``walks`` to stage ``dst``.  Chains start at stage 0, and
-    only those that end at the last stage are added."""
+    only those that end at the last stage are added.  With ``lead``, only
+    the chains whose x_1 digit is ``lead`` are: the factor that leaves
+    index 1 keeps the terms of that digit alone."""
     last = max(dst for _, dst, _ in moves)
+    top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
+
+    def factor(steps, step):
+        if lead is None or step[0]:
+            return steps[step]
+        return [(key, c) for key, c in steps[step] if key // top == lead]
+
     for e0 in (-1, 1):
         layer = {(1, 0, e0, 0): {0: 1}}
         for _ in range(k - 1):
@@ -353,19 +352,18 @@ def _contract(moves, k: int, acc: Dict[int, int]) -> None:
                 for src, dst, walks in moves:
                     if src != stage:
                         continue
-                    steps = walks[e0]
                     for j2 in range(1, k):
                         if seen >> j2 & 1:
                             continue
                         for e2 in (1, -1):
                             state = (seen | 1 << j2, j2, e2, dst)
                             _extend(grown.setdefault(state, {}), partial,
-                                    steps[j, j2, ej, e2])
+                                    factor(walks[e0], (j, j2, ej, e2)))
             layer = grown
         for (_, j, ej, stage), partial in layer.items():
             for src, dst, walks in moves:
                 if src == stage and dst == last:
-                    _extend(acc, partial, walks[e0][j, 0, ej, e0])
+                    _extend(acc, partial, factor(walks[e0], (j, 0, ej, e0)))
 
 
 def _extend(out: Dict[int, int], partial: Dict[int, int], factor) -> None:
@@ -401,21 +399,21 @@ def first_lemma_difference(
     The difference is contracted in one telescoped pass and dropped one
     x_1 slice at a time, in increasing order (see the module docstring)."""
     _validate(k, spec, window)
-    common, sides = _sides(k, spec, window)
-    for _, (lhs, diff, rhs) in _slices(sides, k, window):
+    common, (lhs, diff, rhs) = _sides(k, spec, window)
+    moves = ((0, 0, lhs), (0, 1, diff), (1, 1, rhs))
+    # a chain leaves index 1 at stage 0, so by f or h: 2g never does
+    for lead in _leads((lhs, diff), k, window):
         acc: Dict[int, int] = {}
-        _contract(((0, 0, lhs), (0, 1, diff), (1, 1, rhs)), k, acc)
+        _contract(moves, k, window, acc, lead)
         first = min((key for key, v in acc.items() if v), default=None)
         if first is not None:
-            # this slice again with the two sides apart, for their values
+            # this slice again with f alone; 2^k RHS is LHS - the difference
             lhs_acc: Dict[int, int] = {}
-            rhs_acc: Dict[int, int] = {}
-            _contract(((0, 0, lhs),), k, lhs_acc)
-            _contract(((0, 0, rhs),), k, rhs_acc)
+            _contract(((0, 0, lhs),), k, window, lhs_acc, lead)
+            lhs_value = lhs_acc.get(first, 0)
             den = common ** k
-            return (_decode(first, k, window),
-                    Fraction(lhs_acc.get(first, 0), den),
-                    Fraction(rhs_acc.get(first, 0), den))
+            return (_decode(first, k, window), Fraction(lhs_value, den),
+                    Fraction(lhs_value - acc[first], den))
     return None
 
 

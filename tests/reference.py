@@ -6,6 +6,8 @@
   engines with plain Series arithmetic.
 * Mode actions one at a time: `apply_mode_ops`, which `fock.two_mode` and
   the Hamiltonian images are held to.
+* The KP oracle: `tau_coefficients_kp`, the KP tau-function's coefficients
+  from the Fock space, which the KP route and the log are held to.
 """
 
 from bisect import insort
@@ -13,7 +15,12 @@ from fractions import Fraction
 
 from bkpnpoint import lemma
 from bkpnpoint.affine import bkp_terms, kp_terms
-from bkpnpoint.fock import _count_below
+from bkpnpoint.fock import (
+    _count_below,
+    exp_bilinear_vacuum,
+    psi_generator_kp,
+    tau_table,
+)
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
 
 
@@ -77,8 +84,9 @@ def lemma_side(which, k, spec, window):
     the program's engine in one unsliced pass, f alone for "LHS" and 2g
     alone for "RHS" (so it includes the 2^k)."""
     common, (lhs, _, rhs) = lemma._sides(k, spec, window)
+    walks = lhs if which == "LHS" else rhs
     acc = {}
-    lemma._contract(((0, 0, lhs if which == "LHS" else rhs),), k, acc)
+    lemma._contract(((0, 0, walks),), k, window, acc)
     coeffs = {lemma._decode(key, k, window): Fraction(v, common ** k)
               for key, v in acc.items() if v}
     return Series(2 * k, uniform_window(2 * k, -window, window), coeffs)
@@ -128,3 +136,10 @@ def apply_mode_ops(state, ops):
         state, s = res
         sign *= s
     return state, sign
+
+
+def tau_coefficients_kp(kp, max_weight: int) -> dict:
+    """KP tau coefficients for monomial weights ``<= max_weight``, even
+    indices included."""
+    vec = exp_bilinear_vacuum(psi_generator_kp(kp), 2 * max_weight)
+    return tau_table(vec, "kp", max_weight, odd_only=False)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -261,7 +263,7 @@ def test_verify_failure_reported(capsys, monkeypatch):
     assert "instance 0" in doc["checks"][0]["detail"]
 
 
-def test_verify_lemma_failure_names_monomial(capsys, monkeypatch):
+def _break_lemma_g(monkeypatch):
     # g built from another spec breaks the identity
     other = lemma.validate_pair_spec({(1, 3): 1}, {2: Fraction(1, 2)})
     factor = lemma._factor
@@ -269,6 +271,10 @@ def test_verify_lemma_failure_names_monomial(capsys, monkeypatch):
         lemma, "_factor",
         lambda which, spec, d, w: factor(
             which, other if which == "RHS" else spec, d, w))
+
+
+def test_verify_lemma_failure_names_monomial(capsys, monkeypatch):
+    _break_lemma_g(monkeypatch)
     code, doc = run_json(capsys, [
         "verify", "--check", "lemma", "--count", "1", "--k", "2",
     ])
@@ -304,6 +310,18 @@ def test_verify_csv_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "check,passed,detail"
     assert lines[1] == "lemma,true,"
+
+
+def test_verify_csv_keeps_a_failing_detail_in_one_field(capsys, monkeypatch):
+    # the lemma failure's detail holds commas
+    _break_lemma_g(monkeypatch)
+    argv = ["verify", "--check", "lemma", "--count", "1", "--k", "2"]
+    _, doc = run_json(capsys, argv)
+    assert "," in doc["checks"][0]["detail"]
+    assert main(argv + ["--format", "csv"]) == 1
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["check", "passed", "detail"],
+                    ["lemma", "false", doc["checks"][0]["detail"]]]
 
 
 def test_argparse_errors_exit_two(capsys):

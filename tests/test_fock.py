@@ -30,12 +30,11 @@ from bkpnpoint.fock import (
     psi_generator_embedded,
     psi_generator_kp,
     tau_coefficients_bkp,
-    tau_coefficients_kp,
     tau_table,
     two_mode,
 )
 from bkpnpoint.sampling import random_affine_b
-from reference import apply_mode_ops
+from reference import apply_mode_ops, tau_coefficients_kp
 
 F = Fraction
 

@@ -456,13 +456,49 @@ def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
     assert not check_lemma(k, spec, window)
 
 
+def _triple_2g_openings(monkeypatch):
+    # every term of 2g's factors that leave index 1 tripled, in both walks.
+    # The entries are rebound, not changed in place: the eps_1 = +1 walk
+    # shares its item lists with the other walk's closing steps.
+    sides = lemma._sides
+
+    def tripled(*args):
+        common, (lhs, diff, rhs) = sides(*args)
+        for steps in rhs.values():
+            for step, items in list(steps.items()):
+                if step[0] == 0:
+                    steps[step] = [(key, 3 * c) for key, c in items]
+        return common, [lhs, diff, rhs]
+
+    monkeypatch.setattr(lemma, "_sides", tripled)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_no_2g_factor_leaving_index_1_is_read(monkeypatch, k):
+    # a chain leaves index 1 by f or h only, and the report reads 2^k RHS
+    # as LHS minus the difference, so wrong 2g terms there change nothing;
+    # both sides are nonzero at these first differences, so a read would
+    # show in the report
+    spec = random_series_pair_spec(0 if k == 1 else 1)
+    other = random_series_pair_spec(1 if k == 1 else 11)
+    _triple_2g_openings(monkeypatch)
+    assert first_lemma_difference(k, spec, 6) is None
+    _break_g(monkeypatch, other)
+    lhs = _reference_side("LHS", k, spec, 6)
+    rhs = _reference_side("RHS", k, spec, 6)
+    exps = min(lhs.sub(rhs).coeffs)
+    assert lhs.coefficient(exps) and rhs.coefficient(exps)
+    assert first_lemma_difference(k, spec, 6) == (
+        exps, lhs.coefficient(exps), rhs.coefficient(exps))
+
+
 def test_first_difference_past_the_smallest_slice(monkeypatch):
     # the k = 1 case above: the smallest x_1 slice is at -3 (t_3), and the
     # first difference lies past it
     spec = _spec(s={(1, 2): F(1)}, t={3: F(1)})
     other = _spec(s={(1, 2): F(2)}, t={3: F(1)})
-    _, sides = lemma._sides(1, spec, 6)
-    assert next(lemma._slices(sides, 1, 6))[0] - 6 == -3
+    _, (lhs, diff, _) = lemma._sides(1, spec, 6)
+    assert lemma._leads((lhs, diff), 1, 6)[0] - 6 == -3
     _break_g(monkeypatch, other)
     assert first_lemma_difference(1, spec, 6)[0][0] > -3
 
@@ -517,14 +553,15 @@ def test_slices_partition_the_unsliced_difference(k):
     top = (2 * window + 1) ** (2 * k - 1)
     for seed in range(10):
         spec = random_series_pair_spec(seed)
-        _, sides = lemma._sides(k, spec, window)
+        _, (lhs, diff, rhs) = lemma._sides(k, spec, window)
+        moves = _telescoped(lhs, diff, rhs)
         whole = {}
-        lemma._contract(_telescoped(*sides), k, whole)
-        sliced, leads = {}, []
-        for lead, cut in lemma._slices(sides, k, window):
-            leads.append(lead)
+        lemma._contract(moves, k, window, whole)
+        sliced = {}
+        leads = lemma._leads((lhs, diff), k, window)
+        for lead in leads:
             part = {}
-            lemma._contract(_telescoped(*cut), k, part)
+            lemma._contract(moves, k, window, part, lead)
             assert all(key // top == lead for key in part)
             sliced.update(part)
         assert leads == sorted(set(leads))
@@ -540,9 +577,9 @@ def _difference_both_ways(k, spec, window):
     sides contracted apart, as integers over common^k."""
     _, (lhs, diff, rhs) = lemma._sides(k, spec, window)
     telescoped, apart, rhs_acc = {}, {}, {}
-    lemma._contract(_telescoped(lhs, diff, rhs), k, telescoped)
-    lemma._contract(((0, 0, lhs),), k, apart)
-    lemma._contract(((0, 0, rhs),), k, rhs_acc)
+    lemma._contract(_telescoped(lhs, diff, rhs), k, window, telescoped)
+    lemma._contract(((0, 0, lhs),), k, window, apart)
+    lemma._contract(((0, 0, rhs),), k, window, rhs_acc)
     for key, v in rhs_acc.items():
         apart[key] = apart.get(key, 0) - v
     return _nonzero(telescoped), _nonzero(apart)

@@ -18,7 +18,6 @@ from bkpnpoint.fock import (
     connected_table_from_log,
     oracle_npoint_table,
     poly_log,
-    tau_coefficients_kp,
 )
 from bkpnpoint.npoint import (
     MAX_CYCLE_WORK,
@@ -34,7 +33,7 @@ from bkpnpoint.npoint import (
 )
 from bkpnpoint.sampling import random_affine_b
 from bkpnpoint.series import KernelKind, Series, expand_kernel
-from reference import hat_bkp, hat_kp, place
+from reference import hat_bkp, hat_kp, place, tau_coefficients_kp
 
 F = Fraction
 
