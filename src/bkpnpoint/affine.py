@@ -65,10 +65,6 @@ class AffineKP:
     def get(self, m: int, n: int) -> Fraction:
         return self.entries.get((m, n), Fraction(0))
 
-    @property
-    def max_index(self) -> int:
-        return max((max(k) for k in self.entries), default=0)
-
 
 def validate_b(items) -> AffineB:
     """Build :class:`AffineB` from ``{(n, m): value}`` or ``(n, m, value)`` rows.
@@ -186,14 +182,10 @@ def parse_affine_b(data) -> AffineB:
 
 def dump_affine_b(b: AffineB) -> str:
     """Canonical JSON text: upper-triangle records sorted by index."""
-    recs = [[n, m, _frac_str(v)] for (n, m), v in b.upper_items()]
+    recs = [[n, m, str(v)] for (n, m), v in b.upper_items()]
     return json.dumps(recs, separators=(", ", ": ")) + "\n"
 
 
 def dump_affine_kp(kp: AffineKP) -> str:
-    recs = [[m, n, _frac_str(v)] for (m, n), v in sorted(kp.entries.items())]
+    recs = [[m, n, str(v)] for (m, n), v in sorted(kp.entries.items())]
     return json.dumps(recs, separators=(", ", ": ")) + "\n"
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(v)

@@ -30,18 +30,20 @@ admits a term only when its ``E2`` rise is at least 2 per insert it makes,
 ``rise >= 2 * (a_ins + b_ins)``; the generators' terms all pass (``phi_m
 phi_n`` with ``m + n >= 1``, ``psi_r psi*_s`` with ``-(r2 + s2) >= 2``).  No
 admitted term lowers the energy, so no dropped state feeds a kept one and
-the truncated vector is exact on the kept subspace.  The rule is also the
-iteration bound: ``j`` terms with ``I`` inserts reach charge
-``c = 2I - 2j`` and ``E2 >= 2I = 2j + c``, and ``c^2 <= E2 <= cutoff2``
-(``exp_iteration_limit``; the full argument is in ``exp_bilinear_vacuum``).
+the truncated vector is exact on the kept subspace.  The one truncation is
+to skip a term on a state whose ``E2`` it would raise above the cutoff.
+The raise rule is also the iteration bound: ``j`` terms with ``I`` inserts
+reach charge ``c = 2I - 2j`` and ``E2 >= 2I = 2j + c``, and
+``c^2 <= E2 <= cutoff2`` (``exp_iteration_limit``; the full argument is in
+``exp_bilinear_vacuum``).
 
 The loop runs on integers: with ``L`` the lcm of the denominators of the
 generator's mode terms, ``A = L * generator`` is integral, the integer
 vectors ``u_j = A u_{j-1}`` are ``L^j j!`` times the ``j``-th term of the
 exponential, and the sum is kept as numerators over the running
 denominator ``L^j j!``.  Truncation commutes with the scaling, so one
-``Fraction`` per state at the end gives the same vector and ``clipped``
-flag as the term-by-term ``Fraction`` sum.
+``Fraction`` per state at the end gives the same vector as the term-by-term
+``Fraction`` sum.
 
 Every mode action of the oracle goes through one kernel, ``two_mode``: a
 product of two primitive actions on a basis state, with both occupancies
@@ -177,23 +179,19 @@ def _rise(modes) -> int:
     return (-a if a_ins else a) + (-b if b_ins else b)
 
 
-def _apply_terms(terms, vec: dict, cutoff2: int):
+def _apply_terms(terms, vec: dict, cutoff2: int) -> dict:
     """``sum k * two_mode(...)`` over ``(modes, k)`` terms, cut at ``cutoff2``.
 
-    Works on ``Fraction`` or ``int`` coefficients alike; returns
-    ``(dict without zeros, clipped)``.  A term's rise is known from its
-    modes, so a term above the cutoff is only applied while no earlier one
-    has been clipped, to set the flag.
+    Works on ``Fraction`` or ``int`` coefficients alike; returns the dict
+    without zeros.  A term's rise is known from its modes, so a term that
+    would take a state above the cutoff is skipped without being applied.
     """
     raised = [(modes, k, _rise(modes)) for modes, k in terms]
     out: dict = {}
-    clipped = False
     for state, c in vec.items():
         room = cutoff2 - energy2(state)
         for modes, k, rise in raised:
             if rise > room:
-                if not clipped and two_mode(state, *modes) is not None:
-                    clipped = True
                 continue
             res = two_mode(state, *modes)
             if res is None:
@@ -202,7 +200,7 @@ def _apply_terms(terms, vec: dict, cutoff2: int):
             val = c * k if sign > 0 else -c * k
             prev = out.get(new)
             out[new] = val if prev is None else prev + val
-    return {s: c for s, c in out.items() if c != 0}, clipped
+    return {s: c for s, c in out.items() if c != 0}
 
 
 def _h_kp_image(state, k: int) -> dict:
@@ -269,7 +267,6 @@ class TruncationOverflow(RuntimeError):
 @dataclass
 class FockVector:
     coeffs: dict
-    clipped: bool = False
 
 
 def exp_bilinear_vacuum(terms, cutoff2: int) -> FockVector:
@@ -299,13 +296,11 @@ def exp_bilinear_vacuum(terms, cutoff2: int) -> FockVector:
     total = {VACUUM: 1}  # numerators over den = L^j j!
     den = 1
     term = {VACUUM: 1}
-    clipped = False
     for j in range(1, exp_iteration_limit(cutoff2) + 1):
-        term, clip = _apply_terms(terms, term, cutoff2)
-        clipped = clipped or clip
+        term = _apply_terms(terms, term, cutoff2)
         if not term:
             coeffs = {s: Fraction(c, den) for s, c in total.items() if c != 0}
-            return FockVector(coeffs, clipped)
+            return FockVector(coeffs)
         step = scale * j
         den *= step
         total = {s: c * step for s, c in total.items()}
@@ -534,6 +529,8 @@ def odd_tuples(n: int, max_weight: int, step: int = 2):
 
 def oracle_npoint_table(b: AffineB, n: int, max_weight: int, cutoff_bump: int = 0):
     """Connected n-point table straight from the Fock-space evaluation."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     tau = tau_coefficients_bkp(b, max_weight, cutoff_bump)
     logf = poly_log(tau, max_weight, n)
     return connected_table_from_log(logf, n, max_weight)

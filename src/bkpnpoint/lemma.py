@@ -109,10 +109,11 @@ exact engine, `_contract`.
   chains into disjoint sets, one per lead, which `_contract` contracts with
   the same DP; together the slices do the work of one unsliced pass.  Only
   f and h leave index 1, at stage 0 (2g follows an h step), so the leads
-  come from their first factors.  A slice holds exactly the keys of its
-  lead digit, so when the slices are visited in increasing lead, the first
-  slice with a nonzero value holds the smallest nonzero key of the whole
-  difference: key order is tuple order.
+  come from their first factors; at k = 1 that factor also closes the
+  chain, which must end at stage 1, so only h's count.  A slice holds
+  exactly the keys of its lead digit, so when the slices are visited in
+  increasing lead, the first slice with a nonzero value holds the smallest
+  nonzero key of the whole difference: key order is tuple order.
 
 `first_lemma_difference` builds the tables of f, h and 2g once per kernel
 direction, contracts LHS - 2^k RHS one slice at a time in the telescoped
@@ -316,11 +317,15 @@ def _walks(tables, k: int, window: int, common: int):
     return {-1: steps, 1: back}
 
 
-def _leads(sides, k: int, window: int) -> list:
-    """The x_1 digits, in increasing order, of the factors that leave index
-    1 in the walk sets ``sides`` (see `_walks`)."""
+def _leads(moves, k: int, window: int) -> list:
+    """The x_1 digits, in increasing order, of the factors that can open a
+    kept chain of ``moves`` (see `_contract`): they leave index 1 from
+    stage 0, and at k = 1, where that factor closes the chain, they end at
+    the last stage."""
+    last = max(dst for _, dst, _ in moves)
     top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
-    return sorted({key // top for walks in sides
+    return sorted({key // top for src, dst, walks in moves
+                   if src == 0 and (k > 1 or dst == last)
                    for e0, steps in walks.items()
                    for step, items in steps.items()
                    if step[0] == 0 and step[2] == e0
@@ -401,8 +406,7 @@ def first_lemma_difference(
     _validate(k, spec, window)
     common, (lhs, diff, rhs) = _sides(k, spec, window)
     moves = ((0, 0, lhs), (0, 1, diff), (1, 1, rhs))
-    # a chain leaves index 1 at stage 0, so by f or h: 2g never does
-    for lead in _leads((lhs, diff), k, window):
+    for lead in _leads(moves, k, window):
         acc: Dict[int, int] = {}
         _contract(moves, k, window, acc, lead)
         first = min((key for key, v in acc.items() if v), default=None)

@@ -435,6 +435,8 @@ def compare_formulas(
     b: AffineB, n: int, max_weight: int, *, cap_scale: int = 1
 ) -> FormulaComparison:
     """Compute both BKP routes, their tables, and the raw series relation."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     # wangyang == (z_1 ... z_n) * embedded is compared on [-(w+1), -1]^n.
     # Off its all-odd points both sides vanish by parity, so only those are
     # read; that is every odd tail of the box.

@@ -52,9 +52,7 @@ def test_h_kp_moves_particle_to_vacuum():
 
 
 def test_phi_phi_on_vacuum_frozen():
-    res, clipped = _apply_terms(_phi_phi_terms(0, 1, F(1)),
-                                {VACUUM: F(1)}, 10)
-    assert not clipped
+    res = _apply_terms(_phi_phi_terms(0, 1, F(1)), {VACUUM: F(1)}, 10)
     assert res == {
         ((-3, -1), ()): F(-1, 2),
         ((-1,), (1,)): F(-1, 2),
@@ -64,8 +62,8 @@ def test_phi_phi_on_vacuum_frozen():
 def test_phi_phi_antisymmetric_combination_pairs_to_minus_one():
     # <0| H^B_1 (phi_0 phi_1 - phi_1 phi_0) |0> = -1
     vac = {VACUUM: F(1)}
-    a, _ = _apply_terms(_phi_phi_terms(0, 1, F(1)), vac, 10)
-    c, _ = _apply_terms(_phi_phi_terms(1, 0, F(-1)), vac, 10)
+    a = _apply_terms(_phi_phi_terms(0, 1, F(1)), vac, 10)
+    c = _apply_terms(_phi_phi_terms(1, 0, F(-1)), vac, 10)
     vec = dict(a)
     for s, v in c.items():
         vec[s] = vec.get(s, F(0)) + v
@@ -369,17 +367,14 @@ def _chain_apply_term(modes, k, vec, cutoff2):
     a_ins, a, b_ins, b = modes
     ops = (("+" if a_ins else "-", a), ("+" if b_ins else "-", b))
     out = {}
-    clipped = False
     for state, c in vec.items():
         res = apply_mode_ops(state, ops)
         if res is None:
             continue
         new, sign = res
-        if energy2(new) > cutoff2:
-            clipped = True
-            continue
-        out[new] = out.get(new, F(0)) + c * k * sign
-    return {s: c for s, c in out.items() if c != 0}, clipped
+        if energy2(new) <= cutoff2:
+            out[new] = out.get(new, F(0)) + c * k * sign
+    return {s: c for s, c in out.items() if c != 0}
 
 
 def _fraction_exp(terms, cutoff2):
@@ -389,20 +384,17 @@ def _fraction_exp(terms, cutoff2):
     """
     result = {VACUUM: F(1)}
     term = {VACUUM: F(1)}
-    clipped = False
     j = 0
     while term:
         j += 1
         acc = {}
         for modes, k in terms:
-            part, clip = _chain_apply_term(modes, k, term, cutoff2)
-            clipped = clipped or clip
-            for s, c in part.items():
+            for s, c in _chain_apply_term(modes, k, term, cutoff2).items():
                 acc[s] = acc.get(s, F(0)) + c
         term = {s: c / j for s, c in acc.items() if c != 0}
         for s, c in term.items():
             result[s] = result.get(s, F(0)) + c
-    return FockVector({s: c for s, c in result.items() if c != 0}, clipped), j - 1
+    return FockVector({s: c for s, c in result.items() if c != 0}), j - 1
 
 
 def _generators(b):
@@ -416,15 +408,28 @@ def _generators(b):
 @pytest.mark.parametrize("seed", range(6))
 def test_integer_exp_matches_fraction_loop(seed):
     b = random_affine_b(seed)
-    flags = set()
     for cutoff2 in (6, needed_cutoff2(9)):
         for form, ops in _generators(b):
             got = exp_bilinear_vacuum(ops, cutoff2)
             want, _ = _fraction_exp(ops, cutoff2)
             assert got.coeffs == want.coeffs, (form, cutoff2)
-            assert got.clipped == want.clipped, (form, cutoff2)
-            flags.add(got.clipped)
-    assert True in flags  # cutoff2 = 6 clips every form on these seeds
+    # cutoff2 = 6 truncates every form on these seeds, exactly: it keeps
+    # the states of the untruncated vector with E2 <= 6 and drops some
+    for form, ops in _generators(b):
+        cut = exp_bilinear_vacuum(ops, 6).coeffs
+        whole = exp_bilinear_vacuum(ops, 200).coeffs
+        assert cut == {s: c for s, c in whole.items() if energy2(s) <= 6}, form
+        assert len(cut) < len(whole), form
+
+
+def test_dense_vector_whole_at_the_weight_21_cutoff():
+    # the dense instance's vector has top E2 = 48, so the cutoff for weight
+    # 21 keeps all of it although intermediate terms pass above it
+    ops = phi_phi_generator(random_affine_b(0, max_index=6, density=0.6))
+    assert needed_cutoff2(21) == 48
+    got = exp_bilinear_vacuum(ops, 48).coeffs
+    assert len(got) == 599
+    assert got == exp_bilinear_vacuum(ops, 200).coeffs
 
 
 @pytest.mark.parametrize("seed", range(6))

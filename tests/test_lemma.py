@@ -497,8 +497,8 @@ def test_first_difference_past_the_smallest_slice(monkeypatch):
     # first difference lies past it
     spec = _spec(s={(1, 2): F(1)}, t={3: F(1)})
     other = _spec(s={(1, 2): F(2)}, t={3: F(1)})
-    _, (lhs, diff, _) = lemma._sides(1, spec, 6)
-    assert lemma._leads((lhs, diff), 1, 6)[0] - 6 == -3
+    _, sides = lemma._sides(1, spec, 6)
+    assert lemma._leads(_telescoped(*sides), 1, 6)[0] - 6 == -3
     _break_g(monkeypatch, other)
     assert first_lemma_difference(1, spec, 6)[0][0] > -3
 
@@ -558,7 +558,7 @@ def test_slices_partition_the_unsliced_difference(k):
         whole = {}
         lemma._contract(moves, k, window, whole)
         sliced = {}
-        leads = lemma._leads((lhs, diff), k, window)
+        leads = lemma._leads(moves, k, window)
         for lead in leads:
             part = {}
             lemma._contract(moves, k, window, part, lead)
@@ -649,6 +649,23 @@ def test_factors_built_once_per_side_and_direction(monkeypatch, k, calls):
     monkeypatch.setattr(lemma, "_contract", lambda *args: None)
     assert first_lemma_difference(k, random_series_pair_spec(0), 6) is None
     assert len(made) == calls
+
+
+def test_k1_visits_only_the_slices_h_opens(monkeypatch):
+    # at k = 1 the one factor leaves index 1 and closes the chain, so only
+    # h (stage 0 -> 1) opens a kept chain: over the 20 specs `verify` checks
+    # by default, its leads give 40 slices, and f's would add 23 empty ones
+    calls = []
+    contract = lemma._contract
+
+    def counted(*args):
+        calls.append(args)
+        contract(*args)
+
+    monkeypatch.setattr(lemma, "_contract", counted)
+    for seed in range(20):
+        assert first_lemma_difference(1, random_series_pair_spec(seed), 6) is None
+    assert len(calls) == 40
 
 
 def test_identity_k5_seeded():

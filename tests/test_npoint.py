@@ -71,6 +71,16 @@ def test_argument_validation():
         embedded_npoint_series(AffineB(), 3, 4, pos_cap=-1)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_every_bkp_route_refuses_n_below_1(n):
+    # refused before any window is built: at n = 0 the window is empty
+    b = random_affine_b(0)
+    for route in (embedded_npoint_series, wangyang_npoint_series,
+                  compare_formulas, oracle_npoint_table):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            route(b, n, 7)
+
+
 def _box_items(series):
     """``(exps, coefficient)`` at every point of the series' window, which
     is the all-negative box."""
