@@ -41,19 +41,9 @@ class AffineB:
 
     entries: dict = field(default_factory=dict)
 
-    def get(self, n: int, m: int) -> Fraction:
-        return self.entries.get((n, m), Fraction(0))
-
     @property
     def max_index(self) -> int:
         return max((max(k) for k in self.entries), default=0)
-
-    def upper_items(self):
-        """Entries with row > col, sorted; determines the rest."""
-        return sorted((k, v) for k, v in self.entries.items() if k[0] > k[1])
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
 
 @dataclass(frozen=True, eq=True)
@@ -61,9 +51,6 @@ class AffineKP:
     """KP affine coordinates ``a_{m,n}``."""
 
     entries: dict = field(default_factory=dict)
-
-    def get(self, m: int, n: int) -> Fraction:
-        return self.entries.get((m, n), Fraction(0))
 
 
 def validate_b(items) -> AffineB:
@@ -178,12 +165,6 @@ def parse_affine_b(data) -> AffineB:
             raise ValueError(f"bad coordinate value {v!r}") from exc
         rows.append((n, m, value))
     return validate_b(rows)
-
-
-def dump_affine_b(b: AffineB) -> str:
-    """Canonical JSON text: upper-triangle records sorted by index."""
-    recs = [[n, m, str(v)] for (n, m), v in b.upper_items()]
-    return json.dumps(recs, separators=(", ", ": ")) + "\n"
 
 
 def dump_affine_kp(kp: AffineKP) -> str:

@@ -539,11 +539,10 @@ def oracle_npoint_table(b: AffineB, n: int, max_weight: int, cutoff_bump: int = 
 # -- identity checks ---------------------------------------------------------
 
 
-def check_square_relation(b: AffineB, max_weight: int, cutoff_bump: int = 0) -> bool:
+def check_square_relation(b: AffineB, max_weight: int) -> bool:
     """KP tau of the embedded point equals the BKP tau squared (odd times)."""
-    tau_b = tau_coefficients_bkp(b, max_weight, cutoff_bump)
-    cutoff2 = 2 * (max_weight + cutoff_bump)
-    vec = exp_bilinear_vacuum(psi_generator_embedded(b), cutoff2)
+    tau_b = tau_coefficients_bkp(b, max_weight)
+    vec = exp_bilinear_vacuum(psi_generator_embedded(b), 2 * max_weight)
     tau_kp = tau_table(vec, "kp", max_weight, odd_only=True)
     return poly_mul(tau_b, tau_b, max_weight) == tau_kp
 

@@ -161,9 +161,6 @@ class SeriesPairSpec:
         idx.extend(self.t_entries)
         return max(idx, default=0)
 
-    def is_zero(self) -> bool:
-        return not self.s_entries and not self.t_entries
-
 
 def validate_pair_spec(s_entries, t_entries) -> SeriesPairSpec:
     """Build a SeriesPairSpec, folding s onto the m < n triangle.

@@ -5,9 +5,10 @@ Three routes to the same numbers:
 * `kp_npoint`: the KP n-point generating series
 
   ``(-1)^{n-1} sum_{n-cycles} prod_{a->b} hat A^KP(z_a, z_b)
-  - [n=2] (expansion of 1/(z_1-z_2)^2)``,
+  - [n=2] (expansion of 1/(z_1-z_2)^2)``
 
-  whose coefficient of ``prod z_k^{-i_k-1}`` is the connected correlator
+  (for n = 1 the one factor is the diagonal ``A^KP(z, z)``), whose
+  coefficient of ``prod z_k^{-i_k-1}`` is the connected correlator
   ``d^n log tau / dt_{i_1} ... dt_{i_n}`` at ``t = 0``.
 
 * `embedded_npoint_series`: the same cycle sum evaluated for the KP image of
@@ -337,9 +338,9 @@ def kp_npoint(
     cap_scale: int = 1,
     pos_cap: int | None = None,
 ) -> CycleSum:
-    """KP connected n-point series, ``n >= 2``, on the all-negative box."""
-    if n < 2:
-        raise ValueError("the KP cycle formula needs n >= 2")
+    """KP connected n-point series, ``n >= 1``, on the all-negative box."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
     _check_work(n, window, len(kp.entries), _table_tails(n, max_weight, 1))
     factors = _kp_factors(kp, n, *window[0])

@@ -1,5 +1,6 @@
 """Affine coordinates: validation, conversion, generating series."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from bkpnpoint.affine import (
     bkp_terms,
     bkp_to_kp,
     check_gs_relation,
-    dump_affine_b,
     dump_affine_kp,
     kp_terms,
     parse_affine_b,
@@ -24,14 +24,14 @@ W = uniform_window
 
 def test_validate_completes_antisymmetric_partner():
     b = validate_b([(1, 0, Fraction(1))])
-    assert b.get(1, 0) == 1
-    assert b.get(0, 1) == -1
-    assert b.get(2, 0) == 0
+    assert b.entries.get((1, 0), 0) == 1
+    assert b.entries.get((0, 1), 0) == -1
+    assert b.entries.get((2, 0), 0) == 0
 
 
 def test_validate_accepts_consistent_redundancy():
     b = validate_b([(1, 0, 1), (0, 1, -1)])
-    assert b.get(1, 0) == 1
+    assert b.entries.get((1, 0), 0) == 1
 
 
 def test_validate_rejects_antisymmetry_conflict():
@@ -42,7 +42,7 @@ def test_validate_rejects_antisymmetry_conflict():
 def test_validate_rejects_nonzero_diagonal():
     with pytest.raises(ValueError, match="diagonal"):
         validate_b([(2, 2, 1)])
-    assert validate_b([(2, 2, 0)]).is_zero()
+    assert not validate_b([(2, 2, 0)]).entries
 
 
 def test_validate_rejects_negative_index():
@@ -75,7 +75,7 @@ def test_bkp_to_kp_quadratic_term():
     b = validate_b([(1, 0, 1), (2, 0, 1)])
     kp = bkp_to_kp(b)
     # m=1, n=1: 2 * (a_{2,1} + a_{2,0} a_{0,1}) = 2 * (0 + 1 * -1) = -2
-    assert kp.get(1, 1) == -2
+    assert kp.entries.get((1, 1), 0) == -2
 
 
 def _dense_bkp_to_kp(b):
@@ -85,7 +85,8 @@ def _dense_bkp_to_kp(b):
     for m in range(0, top):
         for n in range(0, top + 1):
             val = 2 * (-1) ** (m + 1) * (
-                b.get(m + 1, n) + b.get(m + 1, 0) * b.get(0, n))
+                b.entries.get((m + 1, n), 0)
+                + b.entries.get((m + 1, 0), 0) * b.entries.get((0, n), 0))
             if val != 0:
                 out[(m, n)] = val
     return out
@@ -214,10 +215,9 @@ def test_gs_relation_builds_no_series(monkeypatch):
 
 def test_coordinate_file_roundtrip():
     b = random_affine_b(3)
-    text = dump_affine_b(b)
-    again = parse_affine_b(__import__("json").loads(text))
+    recs = [[n, m, str(v)] for (n, m), v in sorted(b.entries.items()) if n > m]
+    again = parse_affine_b(json.loads(json.dumps(recs)))
     assert again == b
-    assert dump_affine_b(again) == text
 
 
 def test_dump_kp_is_sorted():
@@ -243,6 +243,12 @@ def test_parse_rejects_malformed_records():
 def test_random_instances_are_deterministic():
     assert random_affine_b(7) == random_affine_b(7)
     assert random_affine_b(7) != random_affine_b(8)
+
+
+def test_random_affine_b_refuses_an_empty_index_range():
+    for max_index in (0, -1):
+        with pytest.raises(ValueError, match="max_index"):
+            random_affine_b(0, max_index=max_index)
 
 
 def _old_random_affine_b(seed, max_index=4, max_height=9, density=0.4):

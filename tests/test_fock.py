@@ -157,7 +157,8 @@ def test_state_equality_fails_for_wrong_conversion():
     from bkpnpoint.fock import psi_generator_kp, FockVector
 
     broken = AffineKP(
-        {k: v for k, v in kp.entries.items()} | {(1, 1): kp.get(1, 1) + 1}
+        {k: v for k, v in kp.entries.items()}
+        | {(1, 1): kp.entries.get((1, 1), 0) + 1}
     )
     v1 = exp_bilinear_vacuum(psi_generator_kp(broken), 16)
     v2 = exp_bilinear_vacuum(psi_generator_embedded(b), 16)

@@ -38,8 +38,8 @@ def test_pair_spec_folds_onto_upper_triangle():
     assert spec.s_entries == {(1, 3): F(-2)}
     assert spec.t_entries == {2: F(1, 3)}
     assert spec.max_index == 3
-    assert not spec.is_zero()
-    assert _spec().is_zero()
+    assert spec != _spec()
+    assert _spec() == SeriesPairSpec({}, {})
 
 
 def test_pair_spec_consistent_duplicates_allowed():
@@ -60,7 +60,36 @@ def test_pair_spec_rejects_bad_input():
         validate_pair_spec({}, {True: F(1)})
     # zero diagonal and zero values are dropped silently
     spec = validate_pair_spec({(2, 2): F(0), (1, 2): F(0)}, {1: F(0)})
-    assert spec.is_zero()
+    assert spec == _spec()
+
+
+def _old_random_series_pair_spec(seed):
+    """The pair sampler's loop with its bounds (index 3, 3 entries per part,
+    height 9) and the value draw written inline."""
+    from random import Random
+
+    rng = Random(seed)
+    s_entries, t_entries = {}, {}
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    for key in rng.sample(pairs, min(rng.randint(0, 3), 3)):
+        num, den = rng.randint(-9, 9), rng.randint(1, 9)
+        if num != 0:
+            s_entries[key] = F(num, den)
+    for m in rng.sample(range(1, 4), min(rng.randint(0, 3), 3)):
+        num, den = rng.randint(-9, 9), rng.randint(1, 9)
+        if num != 0:
+            t_entries[m] = F(num, den)
+    if not s_entries and not t_entries:
+        t_entries[rng.randint(1, 3)] = F(rng.randint(1, 9))
+    return validate_pair_spec(s_entries, t_entries)
+
+
+def test_random_pair_specs_unchanged():
+    # the benchmark digests these specs and searches them for its heavy
+    # lemma instance, so the draw order is pinned
+    for seed in range(200):
+        assert random_series_pair_spec(seed) == _old_random_series_pair_spec(
+            seed), seed
 
 
 def test_ratio_piece_frozen():
@@ -191,7 +220,7 @@ def test_check_argument_validation():
 
 
 def test_instantiate_from_affine_frozen():
-    assert instantiate_from_affine(validate_b([])).is_zero()
+    assert instantiate_from_affine(validate_b([])) == _spec()
     spec = instantiate_from_affine(validate_b([(1, 0, F(1))]))
     assert spec.s_entries == {}
     assert spec.t_entries == {1: F(1)}
@@ -206,11 +235,11 @@ def _dense_instantiate(b):
     s_entries = {}
     t_entries = {}
     for m in range(1, b.max_index + 1):
-        value = b.get(m, 0)
+        value = b.entries.get((m, 0), 0)
         if value != 0:
             t_entries[m] = value
         for n in range(m + 1, b.max_index + 1):
-            value = b.get(m, n)
+            value = b.entries.get((m, n), 0)
             if value != 0:
                 s_entries[m, n] = 2 * value
     return SeriesPairSpec(s_entries, t_entries)

@@ -61,8 +61,8 @@ def test_cycle_orders_counts():
 
 
 def test_argument_validation():
-    with pytest.raises(ValueError):
-        kp_npoint(AffineKP(), 1, 4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        kp_npoint(AffineKP(), 0, 4)
     with pytest.raises(ValueError):
         embedded_npoint_series(AffineB(), 0, 4)
     with pytest.raises(ValueError):
@@ -113,7 +113,7 @@ def test_kp_formula_matches_fock_oracle_all_indices():
     b = validate_b([(1, 0, 1), (2, 0, F(1, 2))])
     kp = bkp_to_kp(b)
     logf = poly_log(tau_coefficients_kp(kp, 6), 6)
-    for n in (2, 3):
+    for n in (1, 2, 3):
         series = kp_npoint(kp, n, 6)
         table = npoint_table(series, n, 6, index_shift=1, odd_only=False)
         oracle = connected_table_from_log(logf, n, 6, odd_only=False)
