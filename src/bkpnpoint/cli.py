@@ -28,6 +28,7 @@ from .npoint import (
     TableCheckError,
     compare_formulas,
     embedded_npoint_series,
+    first_difference,
     npoint_table,
     wangyang_npoint_series,
 )
@@ -151,7 +152,11 @@ def cmd_npoint(args) -> int:
         tables["embedded"] = npoint_table(series, n, weight, index_shift=1)
     if args.formula in ("oracle", "all"):
         tables["oracle"] = oracle_npoint_table(b, n, weight)
-    agree, first = _routes_agree(tables)
+    first = first_difference(tables)
+    if first is not None:
+        key, *values = first
+        first = {"indices": list(key),
+                 "values": dict(zip(sorted(tables), map(str, values)))}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "npoint",
@@ -160,26 +165,11 @@ def cmd_npoint(args) -> int:
         "max_weight": weight,
         "formula": args.formula,
         "tables": {route: _table_records(t) for route, t in tables.items()},
-        "agree": agree,
+        "agree": first is None,
         "first_difference": first,
     }
     _emit(doc, args)
-    return 0 if agree else 1
-
-
-def _routes_agree(tables: dict):
-    routes = sorted(tables)
-    if len(routes) < 2:
-        return True, None
-    keys = sorted(tables[routes[0]])
-    for key in keys:
-        values = {route: tables[route][key] for route in routes}
-        if len(set(values.values())) > 1:
-            return False, {
-                "indices": list(key),
-                "values": {route: str(v) for route, v in values.items()},
-            }
-    return True, None
+    return 0 if first is None else 1
 
 
 def _seeded_coords(args, count: int):
@@ -225,9 +215,10 @@ def _check_formulas(args):
         for n in ns:
             result = compare_formulas(b, n, weight)
             if not result.tables_agree:
+                key, emb, wy = result.first_difference
                 return params, False, (
-                    f"instance {label} n {n}: tables differ at "
-                    f"{result.first_difference}"
+                    f"instance {label} n {n}: tables differ at {list(key)} "
+                    f"(embedded {emb}, wangyang {wy})"
                 )
             if not result.raw_relation_holds:
                 return params, False, (

@@ -333,9 +333,11 @@ def _phi_phi_terms(m: int, n: int, c):
 
 
 def phi_phi_generator(b: AffineB):
-    """``sum_{n,m} a_{n,m} phi_m phi_n`` over both triangles, as mode terms."""
-    return [t for (n, m), a in sorted(b.entries.items())
-            for t in _phi_phi_terms(m, n, a)]
+    """``sum_{n,m} a_{n,m} phi_m phi_n`` as mode terms.  For ``n != m >= 0``,
+    ``m + n != 0`` and the two ``phi`` anticommute, so with ``a_{m,n} =
+    -a_{n,m}`` the triangles add up to ``sum_{n>m} 2 a_{n,m} phi_m phi_n``."""
+    return [t for (n, m), a in sorted(b.entries.items()) if n > m
+            for t in _phi_phi_terms(m, n, 2 * a)]
 
 
 def psi_generator_kp(kp: AffineKP):

@@ -38,7 +38,8 @@ Each route returns a `CycleSum`: a lazy view of its series on the
 all-negative box ``[lo, -1]^n`` that computes a coefficient only when it is
 asked for.
 
-Truncation policy: exponent floor ``lo = -(max_weight + 2)``; positive cap
+Truncation policy: one exponent range ``(lo, hi)`` for every variable
+(`standard_window`): floor ``lo = -(max_weight + 2)``; positive cap
 ``hi = max_weight + nvars * (max_degree + 2)`` where ``max_degree`` bounds
 the deepest coordinate exponent; `cap_scale` rescales the cap to certify
 that reported coefficients are truncation-stable.  Every factor keeps only
@@ -98,6 +99,8 @@ Checks.  wangyang does not project variable 0: every column it computes is
 checked, and a nonzero entry at an even ``e_0`` raises `TableCheckError`
 (a truncation window that is too small shows up this way).  `npoint_table`
 asserts the permutation symmetry of every table and raises the same error.
+`first_difference` finds the smallest key where the tables of two or more
+routes differ, for `compare_formulas` and for the ``npoint`` command.
 
 Cost limit.  A run visits at most ``2^{n-1} (n-1) (hi - lo + 1)`` states
 and extends each by at most one factor's terms, ``hi - lo + 2`` plus the
@@ -119,8 +122,6 @@ from math import comb, lcm
 from .affine import AffineB, AffineKP, bkp_terms, bkp_to_kp, kp_terms
 from .fock import odd_tuples
 
-Window = tuple[tuple[int, int], ...]
-
 ZERO = Fraction(0)
 
 # Largest work estimate a closed-formula call takes on (see the module
@@ -134,7 +135,7 @@ MAX_CYCLE_WORK = 10**9
 def standard_window(
     nvars: int, max_weight: int, max_degree: int, cap_scale: int = 1,
     pos_cap: int | None = None,
-) -> Window:
+) -> tuple[int, int]:
     lo = -(max_weight + 2)
     hi = pos_cap if pos_cap is not None else cap_scale * (
         max_weight + nvars * (max_degree + 2)
@@ -142,7 +143,7 @@ def standard_window(
     if hi < 0:
         # the kernels' subordinate exponents start at 0
         raise ValueError(f"positive exponent cap {hi} must be >= 0")
-    return ((lo, hi),) * nvars
+    return lo, hi
 
 
 def _kp_degree(kp: AffineKP) -> int:
@@ -163,8 +164,7 @@ def _table_tails(n: int, max_weight: int, step: int) -> int:
     return comb(free + n - 1, n - 1) if free >= 0 else 0
 
 
-def _check_work(n: int, window: Window, entries: int, tails: int) -> None:
-    lo, hi = window[0]
+def _check_work(n: int, lo: int, hi: int, entries: int, tails: int) -> None:
     width = hi - lo + 1
     states = 2 ** (n - 1) * (n - 1) * width
     terms = width + 1 + entries
@@ -250,10 +250,11 @@ class CycleSum:
     every column rather than projected.  See the module docstring.
     """
 
-    def __init__(self, nvars: int, window: Window, factors: tuple, scale,
+    def __init__(self, nvars: int, lo: int, factors: tuple, scale,
                  parity: int | None, head_checked: bool = False):
         self.nvars = nvars
-        self.window = tuple((lo, min(hi, -1)) for lo, hi in window)
+        self.window = ((lo, -1),) * nvars
+        self._lo = lo
         den = lcm(1, *(c.denominator for t in factors for c in t.values()))
         self._up, self._down = (_rows(t, den) for t in factors)
         self._scale = Fraction(scale) / den ** nvars
@@ -265,10 +266,8 @@ class CycleSum:
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError("exponent arity mismatch")
-        for e, (lo, hi) in zip(exps, self.window):
-            if not lo <= e <= hi:
-                raise WindowError(
-                    f"exponent {exps} outside window {self.window}")
+        if not all(self._lo <= e <= -1 for e in exps):
+            raise WindowError(f"exponent {exps} outside window {self.window}")
         want = self._parity
         if want is not None and any(e % 2 != want for e in exps[1:]):
             return ZERO
@@ -280,7 +279,7 @@ class CycleSum:
 
     def _column(self, tail: tuple) -> dict:
         """``{e_0: coefficient}`` for one tail, every ``e_0`` at once."""
-        acc = self._contract((0,) + tail, *self.window[0])
+        acc = self._contract((0,) + tail)
         want = self._parity
         if self._head_checked:
             for e0, v in acc.items():
@@ -292,10 +291,10 @@ class CycleSum:
         return {e0: v * self._scale for e0, v in acc.items()
                 if v and (want is None or e0 % 2 == want)}
 
-    def _contract(self, exps: tuple, lo: int, top: int) -> dict:
+    def _contract(self, exps: tuple) -> dict:
         """Integer column of the cycle sum at ``eps = 1`` over the tail of
         ``exps``: the subset DP of the module docstring."""
-        n = self.nvars
+        n, lo = self.nvars, self._lo
         up, down = self._up, self._down
         owed = up.keys() | down.keys()
         # state (visited mask, last vertex j, exponent j still owes) ->
@@ -319,7 +318,7 @@ class CycleSum:
             for q0, c in down.get(r, ()):
                 for p0, v in part.items():
                     e0 = p0 + q0
-                    if lo <= e0 <= top:
+                    if lo <= e0 <= -1:
                         column[e0] = column.get(e0, 0) + v * c
         return column
 
@@ -341,10 +340,10 @@ def kp_npoint(
     """KP connected n-point series, ``n >= 1``, on the all-negative box."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
-    _check_work(n, window, len(kp.entries), _table_tails(n, max_weight, 1))
-    factors = _kp_factors(kp, n, *window[0])
-    return CycleSum(n, window, factors, (-1) ** (n - 1), None)
+    lo, hi = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
+    _check_work(n, lo, hi, len(kp.entries), _table_tails(n, max_weight, 1))
+    factors = _kp_factors(kp, n, lo, hi)
+    return CycleSum(n, lo, factors, (-1) ** (n - 1), None)
 
 
 def embedded_npoint_series(
@@ -359,10 +358,10 @@ def embedded_npoint_series(
     if n < 1:
         raise ValueError("n must be >= 1")
     kp = bkp_to_kp(b)
-    window = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
-    _check_work(n, window, len(kp.entries), _table_tails(n, max_weight, 2))
-    factors = _kp_factors(kp, n, *window[0])
-    return CycleSum(n, window, factors, Fraction((-1) ** (n - 1), 2), 0)
+    lo, hi = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
+    _check_work(n, lo, hi, len(kp.entries), _table_tails(n, max_weight, 2))
+    factors = _kp_factors(kp, n, lo, hi)
+    return CycleSum(n, lo, factors, Fraction((-1) ** (n - 1), 2), 0)
 
 
 def wangyang_npoint_series(
@@ -376,10 +375,10 @@ def wangyang_npoint_series(
     """BKP n-point series from the intrinsic neutral-fermion cycle sum."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    window = standard_window(n, max_weight, _b_degree(b), cap_scale, pos_cap)
-    _check_work(n, window, len(b.entries), _table_tails(n, max_weight, 2))
-    factors = _bkp_factors(b, n, *window[0])
-    return CycleSum(n, window, factors, -(2 ** (n - 1)), 1, head_checked=True)
+    lo, hi = standard_window(n, max_weight, _b_degree(b), cap_scale, pos_cap)
+    _check_work(n, lo, hi, len(b.entries), _table_tails(n, max_weight, 2))
+    factors = _bkp_factors(b, n, lo, hi)
+    return CycleSum(n, lo, factors, -(2 ** (n - 1)), 1, head_checked=True)
 
 
 # -- tables ------------------------------------------------------------------
@@ -404,21 +403,27 @@ def npoint_table(series, n: int, max_weight: int, *, index_shift: int,
     return out
 
 
-def _orderings(exps: tuple):
-    """Each distinct ordering of ``exps`` once, in lexicographic order."""
-    items = sorted(exps)
-    while True:
-        yield tuple(items)
-        i = len(items) - 2
-        while i >= 0 and items[i] >= items[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(items) - 1
-        while items[j] <= items[i]:
-            j -= 1
-        items[i], items[j] = items[j], items[i]
-        items[i + 1:] = reversed(items[i + 1:])
+def _orderings(exps):
+    """Each distinct ordering of ``exps`` once, in lexicographic order: each
+    distinct value in turn as the head, then the orderings of the rest."""
+    if not exps:
+        yield ()
+    for head in sorted(set(exps)):
+        rest = list(exps)
+        rest.remove(head)
+        for tail in _orderings(rest):
+            yield (head, *tail)
+
+
+def first_difference(tables: dict) -> tuple | None:
+    """``(key, value, ...)`` at the smallest key where ``{route: table}``
+    differ, values in sorted route order; ``None`` when they all agree."""
+    routes = sorted(tables)
+    for key in sorted(set().union(*tables.values())):
+        values = tuple(tables[route].get(key) for route in routes)
+        if len(set(values)) > 1:
+            return (key, *values)
+    return None
 
 
 @dataclass(frozen=True)
@@ -445,21 +450,16 @@ def compare_formulas(
     kp = bkp_to_kp(b)
     for degree, entries in ((_kp_degree(kp), len(kp.entries)),
                             (_b_degree(b), len(b.entries))):
-        window = standard_window(n, max_weight, degree, cap_scale)
-        _check_work(n, window, entries, len(odd) ** (n - 1))
+        lo, hi = standard_window(n, max_weight, degree, cap_scale)
+        _check_work(n, lo, hi, entries, len(odd) ** (n - 1))
     emb = embedded_npoint_series(b, n, max_weight, cap_scale=cap_scale)
     wy = wangyang_npoint_series(b, n, max_weight, cap_scale=cap_scale)
     t_emb = npoint_table(emb, n, max_weight, index_shift=1)
     t_wy = npoint_table(wy, n, max_weight, index_shift=0)
-    agree = t_emb == t_wy
-    first = None
-    if not agree:
-        for key in sorted(t_emb):
-            if t_emb[key] != t_wy.get(key):
-                first = (key, t_emb[key], t_wy.get(key))
-                break
+    first = first_difference({"embedded": t_emb, "wangyang": t_wy})
     raw = all(
         wy.coefficient(exps) == emb.coefficient(tuple(e - 1 for e in exps))
         for exps in product(odd, repeat=n)
     )
-    return FormulaComparison(n, max_weight, t_emb, t_wy, agree, raw, first)
+    return FormulaComparison(n, max_weight, t_emb, t_wy, first is None, raw,
+                             first)

@@ -263,6 +263,21 @@ def test_verify_failure_reported(capsys, monkeypatch):
     assert "instance 0" in doc["checks"][0]["detail"]
 
 
+def test_verify_formulas_failure_names_entry(capsys, monkeypatch):
+    def tampered(b, n, max_weight):
+        return npoint.FormulaComparison(
+            n, max_weight, {}, {}, False, True,
+            ((1, 1), Fraction(0), Fraction(1, 3)))
+
+    monkeypatch.setattr(cli, "compare_formulas", tampered)
+    code, doc = run_json(capsys, [
+        "verify", "--check", "formulas", "--count", "1", "--n", "2",
+    ])
+    assert code == 1
+    assert doc["checks"][0]["detail"] == (
+        "instance 0 n 2: tables differ at [1, 1] (embedded 0, wangyang 1/3)")
+
+
 def _break_lemma_g(monkeypatch):
     # g built from another spec breaks the identity
     other = lemma.validate_pair_spec({(1, 3): 1}, {2: Fraction(1, 2)})

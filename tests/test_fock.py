@@ -423,6 +423,22 @@ def test_integer_exp_matches_fraction_loop(seed):
         assert len(cut) < len(whole), form
 
 
+def _both_triangles(b):
+    """``sum_{n,m} a_{n,m} phi_m phi_n`` with every entry of both triangles
+    as its own term, the generator written without the anticommutation."""
+    return [t for (n, m), a in sorted(b.entries.items())
+            for t in _phi_phi_terms(m, n, a)]
+
+
+@pytest.mark.parametrize("b", [random_affine_b(seed) for seed in range(30)] + [
+    random_affine_b(seed, max_index=6, density=0.6) for seed in range(3)])
+def test_phi_phi_generator_equals_both_triangles(b):
+    for w in (9, 21):
+        cutoff2 = needed_cutoff2(w)
+        assert exp_bilinear_vacuum(phi_phi_generator(b), cutoff2).coeffs == (
+            exp_bilinear_vacuum(_both_triangles(b), cutoff2).coeffs), w
+
+
 def test_dense_vector_whole_at_the_weight_21_cutoff():
     # the dense instance's vector has top E2 = 48, so the cutoff for weight
     # 21 keeps all of it although intermediate terms pass above it

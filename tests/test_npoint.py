@@ -1,7 +1,7 @@
 """Closed cycle-sum formulas for connected n-point functions."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import prod
 
 import pytest
@@ -150,7 +150,7 @@ def test_doubled_cap_reproduces_tables():
 def test_window_cap_override():
     b = random_affine_b(2)
     s1 = wangyang_npoint_series(b, 2, 6)
-    cap = standard_window(2, 6, max(b.max_index, 1))[0][1]
+    cap = standard_window(2, 6, max(b.max_index, 1))[1]
     s2 = wangyang_npoint_series(b, 2, 6, pos_cap=cap + 7)
     assert npoint_table(s1, 2, 6, index_shift=0) == npoint_table(
         s2, 2, 6, index_shift=0
@@ -182,7 +182,7 @@ def test_sign_flip_symmetry_of_returned_series():
 def test_head_parity_assertion_fires():
     # wangyang asserts the parity of z_0 on each column instead of projecting
     diagonal = {(-1, -1): F(1)}
-    bad = npoint.CycleSum(1, ((-5, 3),), (diagonal, diagonal), 1, 1,
+    bad = npoint.CycleSum(1, -5, (diagonal, diagonal), 1, 1,
                           head_checked=True)
     with pytest.raises(ArithmeticError, match="parity violation"):
         bad.coefficient((-1,))
@@ -192,6 +192,25 @@ def test_table_symmetry_assertion_fires():
     bad = Series(2, ((-5, 0), (-5, 0)), {(-1, -3): F(1), (-3, -1): F(2)})
     with pytest.raises(ArithmeticError, match="symmetric"):
         npoint_table(bad, 2, 4, index_shift=0)
+
+
+def test_first_difference():
+    a = {(1,): F(1), (3,): F(0)}
+    c = {(1,): F(1), (3,): F(2)}
+    assert npoint.first_difference({"wangyang": a}) is None
+    assert npoint.first_difference({"embedded": a, "oracle": dict(a)}) is None
+    # values in sorted route order, at the smallest differing key
+    assert npoint.first_difference(
+        {"wangyang": c, "oracle": a, "embedded": a}) == ((3,), 0, 0, 2)
+    assert npoint.first_difference(
+        {"embedded": a, "wangyang": {(1,): F(1)}}) == ((3,), 0, None)
+
+
+def test_orderings_are_the_distinct_permutations_in_order():
+    for length in range(7):
+        for x in combinations_with_replacement((-5, -3, -1), length):
+            assert list(npoint._orderings(x)) == sorted(set(permutations(x)))
+    assert list(npoint._orderings((-1,) * 12)) == [(-1,) * 12]
 
 
 # -- the literal sign-vector sum, kept as a reference ------------------------
@@ -207,8 +226,9 @@ def _sign_sum_reference(route, b, n, max_weight, **window_args):
     """
     kp = bkp_to_kp(b)
     degree = _kp_degree(kp) if route == "embedded" else _b_degree(b)
-    window = standard_window(n, max_weight, degree, **window_args)
-    box = {v: (window[v][0], -1) for v in range(n)}
+    lo, hi = standard_window(n, max_weight, degree, **window_args)
+    window = ((lo, hi),) * n
+    box = {v: (lo, -1) for v in range(n)}
 
     def factor(a, c, eps):
         if route == "embedded":
