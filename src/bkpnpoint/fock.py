@@ -1,8 +1,46 @@
-r"""Truncated charged free-fermion Fock space over exact rationals.
+r"""Free-fermion Fock spaces over exact rationals.
 
-Basis states are semi-infinite wedges over half-integer modes ``z^{r}``.  The
-vacuum occupies every positive mode ``z^{1/2} wedge z^{3/2} wedge ...``; an
-excited state is encoded by the finite deviation from it:
+The BKP tau-function is built on neutral fermions, the KP tau-function on
+charged fermions.  Both vectors come from one integer ``exp`` loop, and
+both are read by one ``tau_table`` walk.
+
+**Neutral fermions (BKP).**  The ``phi_n`` (``n`` in Z) obey
+``{phi_m, phi_n} = (-1)^m delta_{m+n,0}`` and ``phi_n|0> = 0`` for ``n < 0``,
+so ``phi_0^2 = 1/2`` and ``phi_n^2 = 0`` for ``n != 0``.  A basis state
+``phi_S|0> = phi_{s_1} ... phi_{s_r}|0>`` is stored as the strictly
+decreasing tuple ``S`` of indices ``>= 0`` (``phi_0`` last); the vacuum is
+``()``.  Every neutral action goes through one kernel, ``_phi``:
+``phi_x phi_S|0>`` moves ``phi_x`` to the right past the ``j`` entries
+above ``|x|`` (sign ``(-1)^j``) and then
+
+* inserts ``x >= 0`` when ``x`` is not in ``S``;
+* leaves ``phi_0 phi_0 = 1/2`` when ``x = 0`` is in ``S``;
+* for ``x < 0``, contracts with ``phi_{-x}`` (factor ``(-1)^x``) when ``-x``
+  is in ``S``, since the rest of ``phi_x``'s way ends on the vacuum;
+* and vanishes otherwise.
+
+Its coefficients are integers in units of 1/2.  For odd ``k``,
+``[H^B_k, phi_m] = phi_{m-k}`` and ``H^B_k|0> = 0``, so ``H^B_k phi_S|0>`` is
+the sum over ``i`` of ``phi_{s_1} .. phi_{s_i - k} .. phi_{s_r}|0>``: one
+``_phi`` on the entries after ``s_i``, behind the entries before it, which
+all lie above anything the tail can hold.  So ``H^B_k`` replaces one ``s``
+by ``s - k``: that ``phi`` is inserted, or it contracts with ``phi_{k-s}``,
+or the term vanishes.  The generator
+``sum_{n,m} a_{n,m} phi_m phi_n = sum_{n>m>=0} 2 a_{n,m} phi_m phi_n``
+acts by two ``_phi``.
+
+The energy of ``phi_S|0>`` is ``sum(S)``.  ``H^B_k`` lowers it by exactly
+``k`` (an entry ``s`` becomes ``s - k``, or ``s`` and ``k - s`` both go),
+so a state reaches the vacuum only by chains of weight exactly ``sum(S)``.
+The tau coefficients of weight ``<= W`` therefore read only the states of
+energy ``<= W``, and the vector is cut there with no margin.  Each
+generator term raises the energy by at least 1 (``neutral_generator``),
+so ``exp`` ends by itself after at most ``W`` nonzero terms.
+
+**Charged fermions (KP).**  Basis states are semi-infinite wedges over
+half-integer modes ``z^{r}``.  The vacuum occupies every positive mode
+``z^{1/2} wedge z^{3/2} wedge ...``; an excited state is encoded by the
+finite deviation from it:
 
 * ``bubbles``: occupied negative modes,
 * ``holes``: vacated positive modes,
@@ -17,77 +55,35 @@ Operator conventions (``r`` half-integer, ``m2 = 2r``):
   sign ``(-1)^{#occupied modes < r}``.
 * ``psi*_r`` contracts against ``z^{-r}`` (removes mode ``-r``) with the same
   position sign.  Both raise the energy by ``-r``.
-* ``phi_m = (psi_{-m-1/2} + (-1)^m psi*_{-m+1/2}) / sqrt(2)``; only products
-  of two ``phi`` occur, so the ``1/sqrt(2)`` factors always combine to the
-  rational ``1/2``.
-* ``H_k   = sum_r psi_{-r} psi*_{r+k}`` (charge preserving, lowers E by k),
-* ``H^B_k = (1/2) sum_{i in Z} (-1)^{i-1} phi_i phi_{-i-k}`` (mixes charge
-  sectors ``+-2``, components lower E by ``k`` or ``k -+ 1``).
+* ``H_k = sum_r psi_{-r} psi*_{r+k}`` (charge preserving, lowers E by k).
 
-Vectors are sparse ``dict[state] -> Fraction``.  ``exp_bilinear_vacuum``
-builds ``exp(sum of mode terms)|0>`` truncated to ``E2 <= cutoff2``.  It
-admits a term only when its ``E2`` rise is at least 2 per insert it makes,
-``rise >= 2 * (a_ins + b_ins)``; the generators' terms all pass (``phi_m
-phi_n`` with ``m + n >= 1``, ``psi_r psi*_s`` with ``-(r2 + s2) >= 2``).  No
-admitted term lowers the energy, so no dropped state feeds a kept one and
-the truncated vector is exact on the kept subspace.  The one truncation is
-to skip a term on a state whose ``E2`` it would raise above the cutoff.
-The raise rule is also the iteration bound: ``j`` terms with ``I`` inserts
-reach charge ``c = 2I - 2j`` and ``E2 >= 2I = 2j + c``, and
-``c^2 <= E2 <= cutoff2`` (``exp_iteration_limit``; the full argument is in
-``exp_bilinear_vacuum``).
-
-The loop runs on integers: with ``L`` the lcm of the denominators of the
-generator's mode terms, ``A = L * generator`` is integral, the integer
-vectors ``u_j = A u_{j-1}`` are ``L^j j!`` times the ``j``-th term of the
-exponential, and the sum is kept as numerators over the running
-denominator ``L^j j!``.  Truncation commutes with the scaling, so one
-``Fraction`` per state at the end gives the same vector as the term-by-term
-``Fraction`` sum.
-
-Every mode action of the oracle goes through one kernel, ``two_mode``: a
-product of two primitive actions on a basis state, with both occupancies
-checked before any tuple is built.  The generators are lists of mode terms
+Every charged action goes through one kernel, ``two_mode``: a product of
+two primitive actions on a basis state, with both occupancies checked
+before any tuple is built.  The generators are lists of mode terms
 ``((a_ins, a, b_ins, b), coeff)``, one ``two_mode`` call each: ``c psi_r
-psi*_s`` is the one term ``((True, r2, False, -s2), c)``, and ``c phi_m
-phi_n`` the four insert/remove families of its two ``phi``.
+psi*_s`` is the one term ``((True, r2, False, -s2), c)``.
+``exp_bilinear_vacuum`` builds ``exp(sum of mode terms)|0>`` truncated to
+``E2 <= cutoff2``.  It admits a term only when its ``E2`` rise is at
+least 2 per insert it makes; every ``psi_r psi*_s`` with
+``-(r2 + s2) >= 2`` passes.  No admitted term lowers the energy, so the
+truncated vector is exact on the kept subspace, and the same rule bounds
+the iterations (``exp_bilinear_vacuum``).
 
-The energy cutoff needed for weight-``W`` tau coefficients exceeds ``W``:
-contributing intermediate states satisfy ``E = W_remaining + charge/2`` with
-``E >= charge^2/2``, so ``cutoff2 = 2W + margin2`` with ``margin2`` the
-largest even ``c`` such that ``c(c-1) <= 2W``.
-
-``H^B_k`` on a basis state visits only the families ``(i, low action, high
-action)`` whose acting mode is a hole ``h`` or a bubble ``b`` of it: low
-insert at ``h`` (``i = -(h+1)/2``), high insert at ``h`` (``i = (h+1)/2 - k``),
-low remove at ``b`` (``i = (b+1)/2``) or high remove at ``b``
-(``i = -(b+1)/2 - k``).  No other family acts, because each of the four
-mode families of ``phi_i phi_{-i-k}`` needs a hole (a positive mode
-inserted) or a bubble (a negative mode removed), for every ``i`` and
-``k >= 1``, at the mode named below.  The two modes of a family are
-``-2i-1`` or ``2i-1`` (low) and ``2(i+k)-1`` or ``-2(i+k)-1`` (high),
-applied high first:
-
-* insert low, insert high: the doubled indices sum to ``2k-2 >= 0``, so one
-  of them is positive and must hit a hole;
-* insert low, remove high: a negative high must be a bubble; a positive
-  high means ``i <= -k-1``, so low is positive and must be a hole;
-* remove low, insert high: a positive high must be a hole; a negative high
-  means ``i <= -k``, so low is negative and must be a bubble;
-* remove low, remove high: the indices sum to ``-2k-2 < 0``; a negative high
-  must be a bubble, otherwise low is negative and must be one.
-
-The hole or bubble is always one of the starting state: an insert never
-creates a hole, a remove never creates a bubble, and in the two mixed
-families low and high differ by ``2k``.
+**The exp loop** runs on integers: with ``L`` the lcm of the denominators
+of the generator's coefficients, counted in the kernel's unit, ``A = L *
+generator`` is integral, the integer vectors ``u_j = A u_{j-1}`` are
+``L^j j!`` times the ``j``-th term of the exponential, and the sum is
+kept as numerators over the running denominator ``L^j j!``.  Truncation
+commutes with the scaling, so one ``Fraction`` per state at the end gives
+the same vector as the term-by-term ``Fraction`` sum.
 
 ``tau_table`` walks the monomials depth first on integers.  The start
-vector is scaled by the common denominator ``den`` of its coefficients, and
-``H_k |state>`` (``H^B_k |state>``) is computed once per ``(state, k)`` by
-the kernel as integer coefficients in units of 1 (of 1/4).  After ``d``
-applications the integers carry the factor ``den * unit^d`` (``unit`` 1 or
-4), so a vacuum coefficient ``v`` reached by an index multiset with
-multiplicities ``m_j`` is the monomial coefficient
+vector is scaled by the common denominator ``den`` of its coefficients,
+and ``H^B_k |state>`` (``H_k |state>``) is computed once per
+``(state, k)`` by the kernel as integer coefficients in units of 1/2
+(of 1).  After ``d`` applications the integers carry the factor
+``den * unit^d``, so a vacuum coefficient ``v`` reached by an index
+multiset with multiplicities ``m_j`` is the monomial coefficient
 ``v / (den * unit^d * prod m_j!)``.
 
 ``poly_log(tau, W, max_len=n)`` forms only the monomials of ``log tau`` with
@@ -114,6 +110,54 @@ ONE = Fraction(1)
 VACUUM = ((), ())
 
 
+# -- neutral fermions ---------------------------------------------------------
+
+
+def _phi(state: tuple, x: int):
+    """``phi_x phi_S|0>`` as ``(new state, coefficient * 2)``, or ``None``
+    when it vanishes (see the module docstring)."""
+    a = -x if x < 0 else x
+    j = 0
+    while j < len(state) and state[j] > a:
+        j += 1
+    sign = -1 if j & 1 else 1
+    if j == len(state) or state[j] != a:
+        return None if x < 0 else (state[:j] + (x,) + state[j:], 2 * sign)
+    if x > 0:
+        return None
+    # phi_x meets phi_{-x}: {phi_x, phi_{-x}} = (-1)^x, phi_0 phi_0 = 1/2
+    if x & 1:
+        sign = -sign
+    return state[:j] + state[j + 1:], 2 * sign if x else sign
+
+
+def _phi_pair(state: tuple, m: int, n: int):
+    """``phi_m phi_n phi_S|0>`` for ``n > m >= 0``, as ``_phi`` gives it;
+    ``phi_n`` with ``n >= 1`` only inserts, with coefficient ``+-1``."""
+    res = _phi(state, n)
+    if res is None:
+        return None
+    res2 = _phi(res[0], m)
+    if res2 is None or res[1] > 0:
+        return res2
+    return res2[0], -res2[1]
+
+
+def _h_phi_image(state: tuple, k: int) -> dict:
+    """``H^B_k phi_S|0>`` for odd ``k >= 1`` as ``new state -> coefficient *
+    2``.  Distinct entries give distinct states: an entry is replaced, or it
+    goes with its smaller partner ``k - s``."""
+    out: dict = {}
+    for i, s in enumerate(state):
+        res = _phi(state[i + 1:], s - k)
+        if res is not None:
+            out[state[:i] + res[0]] = res[1]
+    return out
+
+
+# -- charged fermions ---------------------------------------------------------
+
+
 def energy2(state) -> int:
     bubbles, holes = state
     return sum(holes) - sum(bubbles)
@@ -122,6 +166,11 @@ def energy2(state) -> int:
 def charge(state) -> int:
     bubbles, holes = state
     return len(bubbles) - len(holes)
+
+
+def _charged_need(state) -> int:
+    """The weight of ``H`` a charged state needs to reach the vacuum."""
+    return (energy2(state) - charge(state)) // 2
 
 
 def _count_below(bubbles, holes, m2: int) -> int:
@@ -179,30 +228,6 @@ def _rise(modes) -> int:
     return (-a if a_ins else a) + (-b if b_ins else b)
 
 
-def _apply_terms(terms, vec: dict, cutoff2: int) -> dict:
-    """``sum k * two_mode(...)`` over ``(modes, k)`` terms, cut at ``cutoff2``.
-
-    Works on ``Fraction`` or ``int`` coefficients alike; returns the dict
-    without zeros.  A term's rise is known from its modes, so a term that
-    would take a state above the cutoff is skipped without being applied.
-    """
-    raised = [(modes, k, _rise(modes)) for modes, k in terms]
-    out: dict = {}
-    for state, c in vec.items():
-        room = cutoff2 - energy2(state)
-        for modes, k, rise in raised:
-            if rise > room:
-                continue
-            res = two_mode(state, *modes)
-            if res is None:
-                continue
-            new, sign = res
-            val = c * k if sign > 0 else -c * k
-            prev = out.get(new)
-            out[new] = val if prev is None else prev + val
-    return {s: c for s, c in out.items() if c != 0}
-
-
 def _h_kp_image(state, k: int) -> dict:
     """``H_k |state>`` for ``k >= 1`` as ``new state -> +-1``.
 
@@ -219,45 +244,7 @@ def _h_kp_image(state, k: int) -> dict:
     return out
 
 
-def _h_b_image(state, k: int) -> dict:
-    """``H^B_k |state>`` for ``k >= 1`` as ``new state -> coefficient * 4``.
-
-    Only the families ``(i, lo_ins, hi_ins)`` whose low or high mode is a
-    hole or a bubble of the state are visited (see the module docstring for
-    why no other family acts).
-    """
-    bubbles, holes = state
-    families = set()
-    for h in holes:
-        i = -(h + 1) // 2  # low insert fills h
-        families.add((i, True, True))
-        families.add((i, True, False))
-        i = (h + 1) // 2 - k  # high insert fills h
-        families.add((i, True, True))
-        families.add((i, False, True))
-    for b in bubbles:
-        i = (b + 1) // 2  # low remove empties b
-        families.add((i, False, True))
-        families.add((i, False, False))
-        i = -(b + 1) // 2 - k  # high remove empties b
-        families.add((i, True, False))
-        families.add((i, False, False))
-    quarters: dict = {}
-    for i, lo_ins, hi_ins in families:
-        res = two_mode(
-            state,
-            lo_ins, -2 * i - 1 if lo_ins else 2 * i - 1,
-            hi_ins, 2 * (i + k) - 1 if hi_ins else -2 * (i + k) - 1,
-        )
-        if res is None:
-            continue
-        new, sign = res
-        # (-1)^(i-1) times the family's (-1)^(i+k) per remove-high and
-        # (-1)^i per remove-low
-        if (i - 1 + (0 if hi_ins else i + k) + (0 if lo_ins else i)) & 1:
-            sign = -sign
-        quarters[new] = quarters.get(new, 0) + sign
-    return {s: q for s, q in quarters.items() if q}
+# -- the exp loop -------------------------------------------------------------
 
 
 class TruncationOverflow(RuntimeError):
@@ -269,13 +256,64 @@ class FockVector:
     coeffs: dict
 
 
+def _apply_terms(terms, vec: dict, cutoff: int, kernel, energy) -> dict:
+    """``sum k * kernel(state, *args)`` over ``(args, k, rise)`` terms, cut at
+    ``energy <= cutoff``.
+
+    Works on ``Fraction`` or ``int`` coefficients alike; returns the dict
+    without zeros.  A term's rise is known in advance, so a term that would
+    take a state above the cutoff is skipped without being applied.
+    """
+    out: dict = {}
+    for state, c in vec.items():
+        room = cutoff - energy(state)
+        for args, k, rise in terms:
+            if rise > room:
+                continue
+            res = kernel(state, *args)
+            if res is None:
+                continue
+            new, v = res
+            val = c * (k * v)
+            prev = out.get(new)
+            out[new] = val if prev is None else prev + val
+    return {s: c for s, c in out.items() if c != 0}
+
+
+def _integer_exp(terms, unit: int, kernel, energy, vacuum, cutoff: int,
+                 steps: int) -> dict:
+    """``exp(sum terms)|vacuum>`` cut at ``energy <= cutoff``, as
+    ``state -> Fraction``.
+
+    ``terms`` are ``(args, coeff, rise)``: ``coeff * kernel(state, *args)``,
+    where the kernel gives ``(new state, integer in units of 1/unit)`` or
+    ``None`` and raises the energy by ``rise``.  The loop runs on the
+    integer vectors ``u_j = A u_{j-1}`` (see the module docstring) and
+    raises ``TruncationOverflow`` when ``u_steps`` is not yet empty.
+    """
+    scale = lcm(*(Fraction(k, unit).denominator for _, k, _ in terms))
+    terms = [(args, (Fraction(k, unit) * scale).numerator, rise)
+             for args, k, rise in terms]
+    total = {vacuum: 1}  # numerators over den = L^j j!
+    den = 1
+    term = {vacuum: 1}
+    for j in range(1, steps + 1):
+        term = _apply_terms(terms, term, cutoff, kernel, energy)
+        if not term:
+            return {s: Fraction(c, den) for s, c in total.items() if c != 0}
+        step = scale * j
+        den *= step
+        total = {s: c * step for s, c in total.items()}
+        for s, c in term.items():
+            total[s] = total.get(s, 0) + c
+    raise TruncationOverflow("exp() did not terminate; generator not raising?")
+
+
 def exp_bilinear_vacuum(terms, cutoff2: int) -> FockVector:
-    """``exp(sum terms)|0>`` truncated to ``E2 <= cutoff2``.
+    """``exp(sum terms)|0>`` on charged states, truncated to ``E2 <= cutoff2``.
 
     ``terms`` are mode terms ``((a_ins, a, b_ins, b), coeff)``; each must
     raise ``E2`` by at least 2 per insert, ``rise >= 2 * (a_ins + b_ins)``.
-    The loop runs on the integer vectors ``u_j = A u_{j-1}`` (see the module
-    docstring), each cut at ``cutoff2``.
 
     **Iteration bound.**  A nonzero ``u_j`` needs ``j <= (C + isqrt(C)) / 2``
     with ``C = cutoff2``, so the loop stops at most one step later, on an
@@ -286,27 +324,15 @@ def exp_bilinear_vacuum(terms, cutoff2: int) -> FockVector:
     ``j <= (E2 - c)/2 <= E2/2 + |c|/2``.  A state of charge ``c`` has
     ``E2 >= c^2``, so ``|c| <= isqrt(E2)``, and ``E2 <= C``.
     """
-    for modes, _ in terms:
-        if _rise(modes) < 2 * (modes[0] + modes[2]):
+    raised = []
+    for modes, k in terms:
+        rise = _rise(modes)
+        if rise < 2 * (modes[0] + modes[2]):
             raise ValueError(
                 f"mode term {modes} does not raise E2 by 2 per insert")
-    scale = lcm(*(k.denominator for _, k in terms))
-    terms = [(modes, k.numerator * (scale // k.denominator))
-             for modes, k in terms]
-    total = {VACUUM: 1}  # numerators over den = L^j j!
-    den = 1
-    term = {VACUUM: 1}
-    for j in range(1, exp_iteration_limit(cutoff2) + 1):
-        term = _apply_terms(terms, term, cutoff2)
-        if not term:
-            coeffs = {s: Fraction(c, den) for s, c in total.items() if c != 0}
-            return FockVector(coeffs)
-        step = scale * j
-        den *= step
-        total = {s: c * step for s, c in total.items()}
-        for s, c in term.items():
-            total[s] = total.get(s, 0) + c
-    raise TruncationOverflow("exp() did not terminate; generator not raising?")
+        raised.append((modes, k, rise))
+    return FockVector(_integer_exp(raised, 1, two_mode, energy2, VACUUM,
+                                   cutoff2, exp_iteration_limit(cutoff2)))
 
 
 def exp_iteration_limit(cutoff2: int) -> int:
@@ -316,28 +342,32 @@ def exp_iteration_limit(cutoff2: int) -> int:
     return (c + isqrt(c)) // 2 + 1
 
 
+def exp_neutral_vacuum(b: AffineB, max_weight: int) -> dict:
+    """``exp(sum a_{n,m} phi_m phi_n)|0>`` on the neutral states of energy
+    ``<= max_weight``, as ``state -> Fraction``; ``u_j`` is empty for
+    ``j > max_weight``, as every term raises the energy."""
+    return _integer_exp(neutral_generator(b, max_weight), 2, _phi_pair, sum,
+                        (), max_weight, max_weight + 1)
+
+
 # -- generators from affine coordinates ------------------------------------
 
 
-def _phi_phi_terms(m: int, n: int, c):
-    """Mode terms of ``c phi_m phi_n``: each ``phi`` inserts or removes, and
-    the two ``1/sqrt(2)`` make ``1/2``."""
-    half = c / 2
-    sm, sn = -1 if m % 2 else 1, -1 if n % 2 else 1
-    return (
-        ((True, -2 * m - 1, True, -2 * n - 1), half),
-        ((True, -2 * m - 1, False, 2 * n - 1), half * sn),
-        ((False, 2 * m - 1, True, -2 * n - 1), half * sm),
-        ((False, 2 * m - 1, False, 2 * n - 1), half * sm * sn),
-    )
+def neutral_generator(b: AffineB, max_weight: int):
+    """``sum_{n,m} a_{n,m} phi_m phi_n`` as terms ``((m, n), 2 a_{n,m},
+    n + m)`` for ``_phi_pair``, without the coordinates of ``n + m >
+    max_weight``.
 
-
-def phi_phi_generator(b: AffineB):
-    """``sum_{n,m} a_{n,m} phi_m phi_n`` as mode terms.  For ``n != m >= 0``,
-    ``m + n != 0`` and the two ``phi`` anticommute, so with ``a_{m,n} =
-    -a_{n,m}`` the triangles add up to ``sum_{n>m} 2 a_{n,m} phi_m phi_n``."""
-    return [t for (n, m), a in sorted(b.entries.items()) if n > m
-            for t in _phi_phi_terms(m, n, 2 * a)]
+    For ``n != m >= 0``, ``m + n != 0`` and the two ``phi`` anticommute, so
+    with ``a_{m,n} = -a_{n,m}`` the triangles add up to ``sum_{n>m} 2 a_{n,m}
+    phi_m phi_n``.  The ``(n, m)`` term raises the energy by exactly
+    ``n + m`` and no term lowers it, so with ``n + m > max_weight`` it makes
+    only states that no chain of ``H^B`` of weight ``<= max_weight`` brings
+    back to the vacuum: dropping it leaves every tau coefficient of weight
+    ``<= max_weight`` as it is.
+    """
+    return [((m, n), 2 * a, n + m) for (n, m), a in sorted(b.entries.items())
+            if n > m and n + m <= max_weight]
 
 
 def psi_generator_kp(kp: AffineKP):
@@ -360,56 +390,42 @@ def psi_generator_embedded(b: AffineB):
 # -- tau coefficients -------------------------------------------------------
 
 
-def needed_cutoff2(max_weight: int) -> int:
-    margin2 = 0
-    c = 2
-    while c * (c - 1) <= 2 * max_weight:
-        margin2 = c
-        c += 2
-    return 2 * max_weight + margin2
+def tau_table(start: dict, vacuum, image_of, unit: int, need,
+              max_weight: int, odd_only: bool):
+    """Coefficients of ``<0| exp(sum t_k H_k) |start>`` by time monomial.
 
-
-def tau_table(vec: FockVector, hamiltonian: str, max_weight: int, odd_only: bool):
-    """Coefficients of ``<0| exp(sum t_k H_k) |vec>`` by time monomial.
-
-    Returns ``dict[ascending index tuple] -> Fraction`` for all monomials of
-    weight ``<= max_weight`` (odd indices only when ``odd_only``).  The
-    Hamiltonians commute, so each monomial is read off one descending
-    application chain; charged states that can no longer reach the vacuum
-    within the remaining weight are pruned.  The chain runs on integers:
-    each ``(state, k)`` image is computed once, from the two-mode kernel in
-    units of 1/4 (``H^B``) or 1 (``H``), and kept as
-    ``(new state, need2, integer coefficient)``, where
-    ``need2 = E2 - charge`` is twice the weight the new state still needs to
-    reach the vacuum.
+    ``start`` maps states to ``Fraction``; ``image_of(state, k)`` gives
+    ``H_k |state>`` as ``new state -> integer`` in units of ``1/unit``, and
+    ``need(state)`` is the weight of ``H`` the state needs to reach
+    ``vacuum`` (``sum(S)`` on neutral states, ``(E2 - charge)/2`` on charged
+    ones).  Returns ``dict[ascending index tuple] -> Fraction`` for all
+    monomials of weight ``<= max_weight`` (odd indices only when
+    ``odd_only``).  The Hamiltonians commute, so each monomial is read off
+    one descending application chain; states that can no longer reach the
+    vacuum within the remaining weight are pruned.  The chain runs on
+    integers, and each ``(state, k)`` image is computed once and kept as
+    ``(new state, need, integer coefficient)``.
     """
-    image_of = _h_b_image if hamiltonian == "b" else _h_kp_image
-    unit = 4 if hamiltonian == "b" else 1
-    start = {
-        s: c
-        for s, c in vec.coeffs.items()
-        if energy2(s) - charge(s) <= 2 * max_weight
-        and (hamiltonian == "b" or charge(s) == 0)
-    }
+    start = {s: c for s, c in start.items() if need(s) <= max_weight}
     den = lcm(*(c.denominator for c in start.values()))
     interned: dict = {}
     moves: dict = {}
 
     def step(state, idx: int):
-        """``H_idx |state>`` as ``((new, need2, int), ...)``, computed once."""
+        """``H_idx |state>`` as ``((new, need, int), ...)``, computed once."""
         image = moves.get((state, idx))
         if image is None:
             image = []
             for new, c in image_of(state, idx).items():
                 new = interned.setdefault(new, new)
-                image.append((new, energy2(new) - charge(new), c))
+                image.append((new, need(new), c))
             image = moves[(state, idx)] = tuple(image)
         return image
 
     out: dict = {}
 
     def visit(v: dict, prefix: tuple, scale: int):
-        value = v.get(VACUUM, 0)
+        value = v.get(vacuum, 0)
         if value != 0:
             key = tuple(sorted(prefix))
             mult = 1
@@ -421,11 +437,11 @@ def tau_table(vec: FockVector, hamiltonian: str, max_weight: int, odd_only: bool
         for idx in range(top, 0, -1):
             if odd_only and idx % 2 == 0:
                 continue
-            budget = 2 * (rem - idx)
+            budget = rem - idx
             nxt: dict = {}
             for state, c in v.items():
-                for new, need2, k in step(state, idx):
-                    if need2 <= budget:
+                for new, new_need, k in step(state, idx):
+                    if new_need <= budget:
                         nxt[new] = nxt.get(new, 0) + c * k
             nxt = {s: c for s, c in nxt.items() if c != 0}
             if nxt:
@@ -435,11 +451,11 @@ def tau_table(vec: FockVector, hamiltonian: str, max_weight: int, odd_only: bool
     return out
 
 
-def tau_coefficients_bkp(b: AffineB, max_weight: int, cutoff_bump: int = 0):
-    """BKP tau in odd times, exact for monomial weights ``<= max_weight``."""
-    cutoff2 = needed_cutoff2(max_weight) + 2 * cutoff_bump
-    vec = exp_bilinear_vacuum(phi_phi_generator(b), cutoff2)
-    return tau_table(vec, "b", max_weight, odd_only=True)
+def tau_coefficients_bkp(b: AffineB, max_weight: int):
+    """BKP tau in odd times, exact for monomial weights ``<= max_weight``,
+    on neutral states."""
+    vec = exp_neutral_vacuum(b, max_weight)
+    return tau_table(vec, (), _h_phi_image, 2, sum, max_weight, odd_only=True)
 
 
 # -- log and connected functions --------------------------------------------
@@ -529,11 +545,11 @@ def odd_tuples(n: int, max_weight: int, step: int = 2):
         yield from rec((), 1, max_weight)
 
 
-def oracle_npoint_table(b: AffineB, n: int, max_weight: int, cutoff_bump: int = 0):
+def oracle_npoint_table(b: AffineB, n: int, max_weight: int):
     """Connected n-point table straight from the Fock-space evaluation."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tau = tau_coefficients_bkp(b, max_weight, cutoff_bump)
+    tau = tau_coefficients_bkp(b, max_weight)
     logf = poly_log(tau, max_weight, n)
     return connected_table_from_log(logf, n, max_weight)
 
@@ -542,10 +558,12 @@ def oracle_npoint_table(b: AffineB, n: int, max_weight: int, cutoff_bump: int = 
 
 
 def check_square_relation(b: AffineB, max_weight: int) -> bool:
-    """KP tau of the embedded point equals the BKP tau squared (odd times)."""
+    """KP tau of the embedded point, on charged fermions, equals the BKP
+    tau squared, on neutral fermions (odd times)."""
     tau_b = tau_coefficients_bkp(b, max_weight)
     vec = exp_bilinear_vacuum(psi_generator_embedded(b), 2 * max_weight)
-    tau_kp = tau_table(vec, "kp", max_weight, odd_only=True)
+    tau_kp = tau_table(vec.coeffs, VACUUM, _h_kp_image, 1, _charged_need,
+                       max_weight, odd_only=True)
     return poly_mul(tau_b, tau_b, max_weight) == tau_kp
 
 

@@ -8,6 +8,10 @@
   the Hamiltonian images are held to.
 * The KP oracle: `tau_coefficients_kp`, the KP tau-function's coefficients
   from the Fock space, which the KP route and the log are held to.
+* The BKP oracle on charged fermions: `tau_coefficients_bkp_charged`, the
+  BKP tau-function built from `phi_phi_generator` (each ``phi`` a ``psi``
+  plus a ``psi*``) under an energy cutoff with a margin, and read with the
+  charged ``H^B_k``.  The program's neutral-fermion tau is held to it.
 """
 
 from bisect import insort
@@ -16,10 +20,14 @@ from fractions import Fraction
 from bkpnpoint import lemma
 from bkpnpoint.affine import bkp_terms, kp_terms
 from bkpnpoint.fock import (
+    VACUUM,
+    _charged_need,
     _count_below,
+    _h_kp_image,
     exp_bilinear_vacuum,
     psi_generator_kp,
     tau_table,
+    two_mode,
 )
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
 
@@ -142,4 +150,101 @@ def tau_coefficients_kp(kp, max_weight: int) -> dict:
     """KP tau coefficients for monomial weights ``<= max_weight``, even
     indices included."""
     vec = exp_bilinear_vacuum(psi_generator_kp(kp), 2 * max_weight)
-    return tau_table(vec, "kp", max_weight, odd_only=False)
+    return tau_table(vec.coeffs, VACUUM, _h_kp_image, 1, _charged_need,
+                     max_weight, odd_only=False)
+
+
+# -- the BKP oracle on charged fermions ----------------------------------------
+#
+# ``phi_m = (psi_{-m-1/2} + (-1)^m psi*_{-m+1/2}) / sqrt(2)``; only products of
+# two ``phi`` occur, so the ``1/sqrt(2)`` factors combine to ``1/2``.
+# ``H^B_k = (1/2) sum_{i in Z} (-1)^{i-1} phi_i phi_{-i-k}`` mixes the charge
+# sectors ``+-2``; its components lower E by ``k`` or ``k -+ 1``.
+
+
+def phi_phi_terms(m: int, n: int, c):
+    """Mode terms of ``c phi_m phi_n``: each ``phi`` inserts or removes, and
+    the two ``1/sqrt(2)`` make ``1/2``."""
+    half = c / 2
+    sm, sn = -1 if m % 2 else 1, -1 if n % 2 else 1
+    return (
+        ((True, -2 * m - 1, True, -2 * n - 1), half),
+        ((True, -2 * m - 1, False, 2 * n - 1), half * sn),
+        ((False, 2 * m - 1, True, -2 * n - 1), half * sm),
+        ((False, 2 * m - 1, False, 2 * n - 1), half * sm * sn),
+    )
+
+
+def phi_phi_generator(b):
+    """``sum_{n,m} a_{n,m} phi_m phi_n`` as mode terms, each ``phi_m phi_n``
+    once with coefficient ``2a`` (the two triangles anticommute)."""
+    return [t for (n, m), a in sorted(b.entries.items()) if n > m
+            for t in phi_phi_terms(m, n, 2 * a)]
+
+
+def needed_cutoff2(max_weight: int) -> int:
+    """The doubled-energy cutoff for weight-``W`` tau coefficients.
+
+    Contributing intermediate states satisfy ``E = W_remaining + charge/2``
+    with ``E >= charge^2/2``, so ``cutoff2 = 2W + margin2`` with ``margin2``
+    the largest even ``c`` such that ``c(c-1) <= 2W``.
+    """
+    margin2 = 0
+    c = 2
+    while c * (c - 1) <= 2 * max_weight:
+        margin2 = c
+        c += 2
+    return 2 * max_weight + margin2
+
+
+def h_b_image_charged(state, k: int) -> dict:
+    """``H^B_k |state>`` on charged states, for ``k >= 1``, as
+    ``new state -> coefficient * 4``.
+
+    Only the families ``(i, lo_ins, hi_ins)`` of ``phi_i phi_{-i-k}`` whose
+    low mode (``-2i-1`` inserted, ``2i-1`` removed) or high mode
+    (``2(i+k)-1`` inserted, ``-2(i+k)-1`` removed) is a hole or a bubble of
+    the state act: each family needs a positive mode inserted or a negative
+    one removed, and an insert never creates a hole nor a remove a bubble.
+    """
+    bubbles, holes = state
+    families = set()
+    for h in holes:
+        i = -(h + 1) // 2  # low insert fills h
+        families.add((i, True, True))
+        families.add((i, True, False))
+        i = (h + 1) // 2 - k  # high insert fills h
+        families.add((i, True, True))
+        families.add((i, False, True))
+    for b in bubbles:
+        i = (b + 1) // 2  # low remove empties b
+        families.add((i, False, True))
+        families.add((i, False, False))
+        i = -(b + 1) // 2 - k  # high remove empties b
+        families.add((i, True, False))
+        families.add((i, False, False))
+    quarters: dict = {}
+    for i, lo_ins, hi_ins in families:
+        res = two_mode(
+            state,
+            lo_ins, -2 * i - 1 if lo_ins else 2 * i - 1,
+            hi_ins, 2 * (i + k) - 1 if hi_ins else -2 * (i + k) - 1,
+        )
+        if res is None:
+            continue
+        new, sign = res
+        # (-1)^(i-1) times the family's (-1)^(i+k) per remove-high and
+        # (-1)^i per remove-low
+        if (i - 1 + (0 if hi_ins else i + k) + (0 if lo_ins else i)) & 1:
+            sign = -sign
+        quarters[new] = quarters.get(new, 0) + sign
+    return {s: q for s, q in quarters.items() if q}
+
+
+def tau_coefficients_bkp_charged(b, max_weight: int, cutoff_bump: int = 0):
+    """BKP tau in odd times on charged fermions, exact for monomial weights
+    ``<= max_weight``; ``cutoff_bump`` raises the energy cutoff."""
+    cutoff2 = needed_cutoff2(max_weight) + 2 * cutoff_bump
+    vec = exp_bilinear_vacuum(phi_phi_generator(b), cutoff2)
+    return tau_table(vec.coeffs, VACUUM, h_b_image_charged, 4, _charged_need,
+                     max_weight, odd_only=True)

@@ -12,6 +12,7 @@ from bkpnpoint.fock import (
     check_square_relation,
     check_state_equality,
     oracle_npoint_table,
+    tau_coefficients_bkp,
 )
 from bkpnpoint.lemma import check_lemma
 from bkpnpoint.npoint import (
@@ -96,12 +97,14 @@ def test_criterion_8_worked_one_point():
 
 
 def test_criterion_9_truncation_certification():
-    # doubled positive cap and raised oracle cutoff reproduce every entry
+    # a doubled positive cap reproduces every entry, and the oracle's tau at
+    # weight 11, cut back to weight 7, is its tau at weight 7
     for b in instances():
         for n in (1, 2, 3):
             base = compare_formulas(b, n, 9)
             doubled = compare_formulas(b, n, 9, cap_scale=2)
             assert base.table_embedded == doubled.table_embedded, (b, n)
             assert base.table_wangyang == doubled.table_wangyang, (b, n)
-            assert oracle_npoint_table(b, n, 7) == \
-                oracle_npoint_table(b, n, 7, cutoff_bump=2), (b, n)
+        higher = tau_coefficients_bkp(b, 11)
+        assert tau_coefficients_bkp(b, 7) == {
+            k: v for k, v in higher.items() if sum(k) <= 7}, b

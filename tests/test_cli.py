@@ -169,7 +169,7 @@ def test_npoint_oracle_has_no_cycle_limit(capsys, one_entry_coords):
 
 def test_npoint_disagreement_exit_code(capsys, one_entry_coords, monkeypatch):
     # corrupt one route to exercise the comparison failure path
-    def tampered(b, n, max_weight, cutoff_bump=0):
+    def tampered(b, n, max_weight):
         return {(1,): Fraction(-1), (3,): Fraction(99), (5,): Fraction(0)}
 
     monkeypatch.setattr(cli, "oracle_npoint_table", tampered)

@@ -2,19 +2,24 @@
 
 from fractions import Fraction
 from math import factorial, isqrt
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bkpnpoint import fock
 from bkpnpoint.affine import AffineKP, bkp_to_kp, validate_b
 from bkpnpoint.fock import (
     VACUUM,
     FockVector,
     _apply_terms,
-    _h_b_image,
+    _charged_need,
     _h_kp_image,
-    _phi_phi_terms,
+    _h_phi_image,
+    _phi,
+    _phi_pair,
+    _rise,
     charge,
     check_square_relation,
     check_state_equality,
@@ -22,9 +27,10 @@ from bkpnpoint.fock import (
     energy2,
     exp_bilinear_vacuum,
     exp_iteration_limit,
-    needed_cutoff2,
+    exp_neutral_vacuum,
+    neutral_generator,
     odd_tuples,
-    phi_phi_generator,
+    oracle_npoint_table,
     poly_log,
     poly_mul,
     psi_generator_embedded,
@@ -34,15 +40,30 @@ from bkpnpoint.fock import (
     two_mode,
 )
 from bkpnpoint.sampling import random_affine_b
-from reference import apply_mode_ops, tau_coefficients_kp
+from reference import (
+    apply_mode_ops,
+    h_b_image_charged,
+    needed_cutoff2,
+    phi_phi_generator,
+    phi_phi_terms,
+    tau_coefficients_bkp_charged,
+    tau_coefficients_kp,
+)
 
 F = Fraction
+
+
+def _apply_mode_terms(terms, vec, cutoff2):
+    """``sum k * two_mode(...)`` over ``(modes, k)`` terms, cut at ``cutoff2``."""
+    raised = [(modes, k, _rise(modes)) for modes, k in terms]
+    return _apply_terms(raised, vec, cutoff2, two_mode, energy2)
 
 
 def test_hamiltonians_annihilate_vacuum():
     for k in (1, 2, 3, 4):
         assert _h_kp_image(VACUUM, k) == {}
-        assert _h_b_image(VACUUM, k) == {}
+        assert h_b_image_charged(VACUUM, k) == {}
+        assert _h_phi_image((), k) == {}
 
 
 def test_h_kp_moves_particle_to_vacuum():
@@ -52,7 +73,7 @@ def test_h_kp_moves_particle_to_vacuum():
 
 
 def test_phi_phi_on_vacuum_frozen():
-    res = _apply_terms(_phi_phi_terms(0, 1, F(1)), {VACUUM: F(1)}, 10)
+    res = _apply_mode_terms(phi_phi_terms(0, 1, F(1)), {VACUUM: F(1)}, 10)
     assert res == {
         ((-3, -1), ()): F(-1, 2),
         ((-1,), (1,)): F(-1, 2),
@@ -62,12 +83,16 @@ def test_phi_phi_on_vacuum_frozen():
 def test_phi_phi_antisymmetric_combination_pairs_to_minus_one():
     # <0| H^B_1 (phi_0 phi_1 - phi_1 phi_0) |0> = -1
     vac = {VACUUM: F(1)}
-    a = _apply_terms(_phi_phi_terms(0, 1, F(1)), vac, 10)
-    c = _apply_terms(_phi_phi_terms(1, 0, F(-1)), vac, 10)
+    a = _apply_mode_terms(phi_phi_terms(0, 1, F(1)), vac, 10)
+    c = _apply_mode_terms(phi_phi_terms(1, 0, F(-1)), vac, 10)
     vec = dict(a)
     for s, v in c.items():
         vec[s] = vec.get(s, F(0)) + v
     assert _apply_h_b(1, vec).get(VACUUM) == -1
+    # on neutral states the combination is -2 phi_1 phi_0 |0>, and H^B_1
+    # takes phi_1 phi_0 |0> to phi_0 phi_0 |0> = 1/2 (both in units of 1/2)
+    assert _phi_pair((), 0, 1) == ((1, 0), -2)
+    assert _h_phi_image((1, 0), 1) == {(): 1}
 
 
 _modes2 = st.sampled_from([-7, -5, -3, -1, 1, 3, 5, 7])
@@ -116,17 +141,26 @@ def test_one_point_table_frozen():
     assert table == {(1,): F(-1), (3,): F(0), (5,): F(0)}
 
 
+def _charged_bkp_tau(vec, max_weight):
+    """The charged reference's tau walk on a charged BKP vector."""
+    return tau_table(vec.coeffs, VACUUM, h_b_image_charged, 4, _charged_need,
+                     max_weight, odd_only=True)
+
+
 def test_energy_cutoff_margin_is_required():
-    # with cutoff2 = 2 * weight the charge-2 component of phi_0 phi_1 |0>
-    # is dropped and the weight-1 coefficient degrades to -1/2
+    # on charged fermions, with cutoff2 = 2 * weight the charge-2 component
+    # of phi_0 phi_1 |0> is dropped and the weight-1 coefficient degrades
+    # to -1/2
     b = validate_b([(1, 0, 1)])
     vec = exp_bilinear_vacuum(phi_phi_generator(b), 2)
-    tau = tau_table(vec, "b", 1, odd_only=True)
-    assert tau[(1,)] == F(-1, 2)
+    assert _charged_bkp_tau(vec, 1)[(1,)] == F(-1, 2)
     assert needed_cutoff2(1) == 4
     vec = exp_bilinear_vacuum(phi_phi_generator(b), needed_cutoff2(1))
-    tau = tau_table(vec, "b", 1, odd_only=True)
-    assert tau[(1,)] == F(-1)
+    assert _charged_bkp_tau(vec, 1)[(1,)] == F(-1)
+    # on neutral fermions the state phi_0 phi_1 |0> has energy 1, so the
+    # cut at the weight itself keeps it
+    assert exp_neutral_vacuum(b, 1) == {(): F(1), (1, 0): F(-2)}
+    assert tau_coefficients_bkp(b, 1) == {(): F(1), (1,): F(-1)}
 
 
 def test_kp_two_point_from_single_coordinate():
@@ -165,12 +199,15 @@ def test_state_equality_fails_for_wrong_conversion():
     assert v1.coeffs != v2.coeffs
 
 
-def test_cutoff_bump_does_not_change_tau():
-    for seed in (1, 4):
-        b = random_affine_b(seed)
-        assert tau_coefficients_bkp(b, 6) == tau_coefficients_bkp(
-            b, 6, cutoff_bump=2
-        )
+def test_tau_at_a_higher_weight_restricts_to_tau():
+    # the neutral cut at the weight needs no margin: tau at W + 4, cut back
+    # to the monomials of weight <= W, is tau at W
+    for b in (random_affine_b(1), random_affine_b(4),
+              random_affine_b(0, max_index=6, density=0.6)):
+        for w in (6, 9):
+            higher = tau_coefficients_bkp(b, w + 4)
+            assert tau_coefficients_bkp(b, w) == {
+                k: v for k, v in higher.items() if sum(k) <= w}, w
 
 
 def test_exp_rejects_non_raising_operator():
@@ -178,7 +215,7 @@ def test_exp_rejects_non_raising_operator():
     with pytest.raises(ValueError, match="raise"):
         exp_bilinear_vacuum([((True, 1, False, 1), F(1))], 10)
     with pytest.raises(ValueError, match="raise"):
-        exp_bilinear_vacuum(list(_phi_phi_terms(0, 0, F(1))), 10)
+        exp_bilinear_vacuum(list(phi_phi_terms(0, 0, F(1))), 10)
 
 
 def _admitted(term):
@@ -193,7 +230,7 @@ def test_raise_rule_admits_what_the_per_kind_rules_admitted():
     # phi_m phi_n needs m + n >= 1, psi_r psi*_s needs -(r2 + s2) >= 2
     for m in range(-6, 7):
         for n in range(-6, 7):
-            for term in _phi_phi_terms(m, n, F(1)):
+            for term in phi_phi_terms(m, n, F(1)):
                 assert _admitted(term) == (m + n >= 1), (m, n, term)
     for r2 in range(-13, 14, 2):
         for s2 in range(-13, 14, 2):
@@ -244,10 +281,11 @@ def test_poly_mul_merges_and_truncates():
 
 
 def _apply_h_b(k, vec):
-    """``H^B_k`` on a ``Fraction`` vector through the program's images."""
+    """``H^B_k`` on a ``Fraction`` vector through the charged reference's
+    images."""
     out = {}
     for state, c in vec.items():
-        for new, q in _h_b_image(state, k).items():
+        for new, q in h_b_image_charged(state, k).items():
             out[new] = out.get(new, F(0)) + c * F(q, 4)
     return {s: c for s, c in out.items() if c != 0}
 
@@ -349,14 +387,15 @@ def test_tau_table_matches_vector_reference(seed):
     b = random_affine_b(seed)
     for w in (6, 11):
         vec = exp_bilinear_vacuum(phi_phi_generator(b), needed_cutoff2(w))
-        got = tau_table(vec, "b", w, odd_only=True)
+        got = _charged_bkp_tau(vec, w)
         assert got == _vector_tau_table(vec, "b", w, odd_only=True), w
         assert got[()] == 1
         vec = exp_bilinear_vacuum(psi_generator_kp(bkp_to_kp(b)), 2 * w)
         for odd_only in (True, False):
-            assert tau_table(vec, "kp", w, odd_only) == _vector_tau_table(
-                vec, "kp", w, odd_only
-            ), (w, odd_only)
+            got = tau_table(vec.coeffs, VACUUM, _h_kp_image, 1, _charged_need,
+                            w, odd_only)
+            assert got == _vector_tau_table(vec, "kp", w, odd_only), (
+                w, odd_only)
 
 
 # -- test-only references: the Fraction exp loop and the mode-op chain ------
@@ -427,7 +466,7 @@ def _both_triangles(b):
     """``sum_{n,m} a_{n,m} phi_m phi_n`` with every entry of both triangles
     as its own term, the generator written without the anticommutation."""
     return [t for (n, m), a in sorted(b.entries.items())
-            for t in _phi_phi_terms(m, n, a)]
+            for t in phi_phi_terms(m, n, a)]
 
 
 @pytest.mark.parametrize("b", [random_affine_b(seed) for seed in range(30)] + [
@@ -440,13 +479,16 @@ def test_phi_phi_generator_equals_both_triangles(b):
 
 
 def test_dense_vector_whole_at_the_weight_21_cutoff():
-    # the dense instance's vector has top E2 = 48, so the cutoff for weight
-    # 21 keeps all of it although intermediate terms pass above it
-    ops = phi_phi_generator(random_affine_b(0, max_index=6, density=0.6))
-    assert needed_cutoff2(21) == 48
-    got = exp_bilinear_vacuum(ops, 48).coeffs
-    assert len(got) == 599
-    assert got == exp_bilinear_vacuum(ops, 200).coeffs
+    # the dense instance's indices are at most 6, so its neutral vector has
+    # top energy 0 + 1 + ... + 6 = 21 and the cut at weight 21 keeps all of
+    # it; the charged reference needs 599 states and the cutoff E2 = 48
+    b = random_affine_b(0, max_index=6, density=0.6)
+    got = exp_neutral_vacuum(b, 21)
+    assert len(got) == 46
+    assert max(sum(s) for s in got) == 21
+    assert got == exp_neutral_vacuum(b, 200)
+    assert got != exp_neutral_vacuum(b, 20)
+    assert len(exp_bilinear_vacuum(phi_phi_generator(b), 48).coeffs) == 599
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -521,3 +563,206 @@ def test_two_mode_kernel_matches_chain_on_random_states(state, a_ins, a, b_ins, 
     # covers a == b with either pair of kinds
     ops = (("+" if a_ins else "-", a), ("+" if b_ins else "-", b))
     assert two_mode(state, a_ins, a, b_ins, b) == apply_mode_ops(state, ops)
+
+
+# -- neutral fermions: the kernels against the rules ------------------------
+
+
+def _ordered(word):
+    """``phi_{w_1} .. phi_{w_r} |0>`` on the basis ``phi_S|0>`` by the rules
+    alone: ``{phi_m, phi_n} = (-1)^m delta_{m+n,0}``, ``phi_0^2 = 1/2``,
+    ``phi_n^2 = 0`` for ``n != 0`` and ``phi_n|0> = 0`` for ``n < 0``."""
+    if word and word[-1] < 0:
+        return {}
+    for i in range(len(word) - 1):
+        x, y = word[i], word[i + 1]
+        if x == y:
+            if x != 0:
+                return {}
+            return {s: c / 2 for s, c in _ordered(word[:i] + word[i + 2:]).items()}
+        if x < y:
+            out = {s: -c for s, c in
+                   _ordered(word[:i] + (y, x) + word[i + 2:]).items()}
+            if x + y == 0:
+                for s, c in _ordered(word[:i] + word[i + 2:]).items():
+                    out[s] = out.get(s, 0) + (-c if x & 1 else c)
+            return {s: c for s, c in out.items() if c != 0}
+    return {word: F(1)}
+
+
+def _halves(res):
+    """A neutral kernel result, ``None`` or ``(state, coefficient * 2)``, as
+    a ``Fraction`` vector."""
+    return {} if res is None else {res[0]: F(res[1], 2)}
+
+
+def _phi_on(vec, x):
+    """``phi_x`` on a ``Fraction`` vector through the program's kernel."""
+    out = {}
+    for state, c in vec.items():
+        for new, v in _halves(_phi(state, x)).items():
+            out[new] = out.get(new, 0) + c * v
+    return {s: c for s, c in out.items() if c != 0}
+
+
+def _h_on(vec, k):
+    """``H^B_k`` on a ``Fraction`` vector through the program's kernel."""
+    out = {}
+    for state, c in vec.items():
+        for new, v in _h_phi_image(state, k).items():
+            out[new] = out.get(new, 0) + c * F(v, 2)
+    return {s: c for s, c in out.items() if c != 0}
+
+
+def _add(u, v, scale=1):
+    out = dict(u)
+    for s, c in v.items():
+        out[s] = out.get(s, 0) + scale * c
+    return {s: c for s, c in out.items() if c != 0}
+
+
+_neutral_states = st.lists(st.integers(0, 9), unique=True, max_size=6).map(
+    lambda entries: tuple(sorted(entries, reverse=True)))
+_indices = st.integers(-10, 10)
+_odd_k = st.integers(0, 5).map(lambda i: 2 * i + 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_neutral_states, _indices)
+def test_phi_kernel_matches_rules(state, x):
+    assert _halves(_phi(state, x)) == _ordered((x,) + state)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_neutral_states, st.integers(0, 9), st.integers(1, 10))
+def test_phi_pair_kernel_matches_rules(state, m, n):
+    if n <= m:
+        m, n = n - 1, m + 1
+    assert _halves(_phi_pair(state, m, n)) == _ordered((m, n) + state)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_neutral_states, _indices, _indices)
+def test_phi_kernel_anticommutes(state, x, y):
+    vec = {state: F(1)}
+    lhs = _add(_phi_on(_phi_on(vec, y), x), _phi_on(_phi_on(vec, x), y))
+    want = {state: F(-1) if x & 1 else F(1)} if x + y == 0 else {}
+    assert lhs == want
+    if x == 0:  # phi_0^2 = 1/2
+        assert _phi_on(_phi_on(vec, 0), 0) == {state: F(1, 2)}
+
+
+@settings(deadline=None, max_examples=300)
+@given(_neutral_states, _odd_k)
+def test_h_phi_image_matches_rules(state, k):
+    # [H^B_k, phi_m] = phi_{m-k} and H^B_k |0> = 0 give the sum over entries
+    want = {}
+    for i, s in enumerate(state):
+        want = _add(want, _ordered(state[:i] + (s - k,) + state[i + 1:]))
+    assert _h_on({state: F(1)}, k) == want
+
+
+@settings(deadline=None, max_examples=300)
+@given(_neutral_states, _odd_k, _indices)
+def test_h_phi_commutator_with_phi(state, k, m):
+    vec = {state: F(1)}
+    lhs = _add(_h_on(_phi_on(vec, m), k), _phi_on(_h_on(vec, k), m), -1)
+    assert lhs == _phi_on(vec, m - k)
+
+
+def _rules_exp(b, max_weight):
+    """``exp(sum a_{n,m} phi_m phi_n)|0>`` over ``Fraction``, term by term,
+    both triangles and every product by ``_ordered``, cut at energy
+    ``max_weight``."""
+    result = {(): F(1)}
+    term = {(): F(1)}
+    j = 0
+    while term:
+        j += 1
+        acc = {}
+        for (n, m), a in b.entries.items():
+            for state, c in term.items():
+                for new, v in _ordered((m, n) + state).items():
+                    if sum(new) <= max_weight:
+                        acc[new] = acc.get(new, 0) + a * c * v
+        term = {s: c / j for s, c in acc.items() if c != 0}
+        result = _add(result, term)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neutral_exp_matches_rules(seed):
+    b = random_affine_b(seed)
+    for w in (5, 9):
+        assert exp_neutral_vacuum(b, w) == _rules_exp(b, w), w
+
+
+# -- neutral fermions: the tau against the charged reference -----------------
+
+# the supports of the benchmark's oracle workload, and the wide instance
+ORACLE_SUPPORTS = (
+    ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 0), (5, 1), (5, 2),
+     (5, 3), (6, 1), (6, 2), (6, 3), (6, 4)),
+    ((1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (5, 0), (5, 1), (5, 2), (5, 3),
+     (5, 4), (6, 1), (6, 2), (6, 3), (6, 4), (6, 5)),
+)
+
+
+def _on_support(support, seed):
+    rng = Random(seed)
+    return validate_b([(n, m, F(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                rng.randint(1, 9))) for n, m in support])
+
+
+@pytest.mark.parametrize("w", (7, 13))
+def test_neutral_tau_equals_charged_reference_on_random_instances(w):
+    for seed in range(200):
+        b = random_affine_b(seed)
+        assert tau_coefficients_bkp(b, w) == tau_coefficients_bkp_charged(
+            b, w), seed
+
+
+@pytest.mark.parametrize("b", [
+    _on_support(ORACLE_SUPPORTS[0], 7),
+    _on_support(ORACLE_SUPPORTS[1], 8),
+    random_affine_b(7, max_index=8, density=0.5),
+], ids=["oracle-support-0", "oracle-support-1", "wide"])
+def test_neutral_tau_equals_charged_reference_at_weight_21(b):
+    assert tau_coefficients_bkp(b, 21) == tau_coefficients_bkp_charged(b, 21)
+
+
+def test_flipped_contraction_sign_fails_square_relation(monkeypatch):
+    # tau_B^2 on neutral fermions against tau_KP on charged ones: a neutral
+    # kernel with the sign of {phi_x, phi_{-x}}, x < 0, flipped must fail
+    b = random_affine_b(0, max_index=6, density=0.6)
+    assert check_square_relation(b, 9)
+    phi = fock._phi
+
+    def flipped(state, x):
+        res = phi(state, x)
+        if res is None or x >= 0:
+            return res
+        return res[0], -res[1]
+
+    monkeypatch.setattr(fock, "_phi", flipped)
+    assert not check_square_relation(b, 9)
+
+
+def test_index_cutoff_drops_only_terms_above_the_weight():
+    # a coordinate with n + m > W raises the energy above the cut, so adding
+    # one leaves the table as it is and the exp gets the same terms
+    rng = Random(0)
+    w = 7
+    for seed in range(50):
+        b = random_affine_b(seed)
+        entries = {k: v for k, v in b.entries.items() if k[0] > k[1]}
+        for _ in range(rng.randint(1, 4)):
+            top = rng.choice((8, 20, 10**6))
+            n = rng.randint((w + 3) // 2, top)
+            m = rng.randint(max(0, w + 1 - n), n - 1)
+            entries.setdefault((n, m), F(rng.randint(1, 9), rng.randint(1, 9)))
+        wide = validate_b(entries)
+        assert neutral_generator(wide, w) == neutral_generator(b, w), seed
+        for n in (1, 2, 3):
+            assert oracle_npoint_table(wide, n, w) == oracle_npoint_table(
+                b, n, w), (seed, n)

@@ -301,7 +301,7 @@ def test_routes_match_oracle_at_larger_n(seed, n, max_weight):
 
 
 def test_oracle_matches_wangyang_on_dense_instance_at_weight_15():
-    # depth-15 chains scale the oracle's integers by up to 4^15
+    # depth-15 chains scale the oracle's integers by up to 2^15
     b = random_affine_b(7, max_index=6, density=0.6)
     table = npoint_table(wangyang_npoint_series(b, 2, 15), 2, 15, index_shift=0)
     assert any(table.values())
