@@ -63,17 +63,41 @@ exact engine, `_contract`.
   keys and each digit of that sum is one factor's shifted exponent (no
   carry).  Coefficients are integers over the lcm of every factor
   denominator, so a k-factor product is an integer over its k-th power.
+* Flavor swap.  Let S_j exchange x_j and y_j.  Flipping eps_j puts the
+  other flavor at sel(j) and sel'(j) in the two factors of every chain that
+  meet index j, and flips the sign; a factor's table depends only on its
+  direction, never on eps.  So the terms of a sign vector and of that
+  vector with eps_j flipped are each other's images under -S_j, and each
+  side, and the difference D = LHS - 2^k RHS, is odd under every S_j:
+
+      D = sum_{eps_1} (1 - S_2) ... (1 - S_k) D_+,
+
+  where D_+ keeps eps_j = +1 for j >= 2.  Like the telescoping below, this
+  holds for whatever tables `_factor` returns.  D vanishes where x_j = y_j
+  and is fixed elsewhere by its canonical keys, those with x_j < y_j for
+  every j >= 2, so the engine contracts D on those alone.  In D_+ the step
+  entering j places one digit a of j's pair and the step leaving j the
+  other, u; `_walks` folds the leaving step's items once for each a: an
+  item with u = a is dropped (S_j fixes it, so 1 - S_j cancels it), one
+  that leaves x_j < y_j is kept, and any other has both digits moved to
+  the swapped slots and is negated.  Such an item's key holds negative
+  digit offsets (it moves the a that the partial key holds), so a digit is
+  never read from a folded key; the partial keys are box keys after every
+  step.  Within an orbit of the swaps the canonical key is the smallest,
+  since x_j is the more significant digit of its pair, so the smallest
+  nonzero canonical key of D is the smallest nonzero key of D.
 * Subset DP.  The sum over sigma and eps is a sum over closed chains
   1 -> j_2 -> ... -> j_k -> 1 that visit every index once, each index j with
   its sign eps_j.  The step entering j carries eps_j, and every index is
   entered exactly once (index 1 by the closing step), so the sign
-  prod eps_j is folded into the factors.  The factors still to come depend
-  only on the visited set, the last index j, eps_j and eps_1.  So for each
-  eps_1 the engine keeps one dict from partial key to integer per state
-  (visited set, j, eps_j, stage; the stage is below), and extends the sum
-  of all chains reaching a state once, by the next factor; closing
-  multiplies by the factor back to index 1.  By distributivity this equals
-  the sum of the chain products, term for term.
+  prod eps_j is folded into the factors.  With eps_j = +1 for j >= 2, the
+  factors still to come depend only on the visited set, the last index j,
+  eps_1 and, through the fold, the digit a that the step entering j put in
+  j's slot.  So for each eps_1 the engine keeps one dict from partial key
+  to integer per state (visited set, j, a, stage; the stage is below), and
+  extends the sum of all chains reaching a state once, by the next factor;
+  closing multiplies by the factor back to index 1.  By distributivity
+  this equals the folded sum of the chain products, term for term.
 * Telescoping.  Put h = f - 2g.  For the k factors of one chain,
 
       prod_i f_i - prod_i 2 g_i
@@ -93,16 +117,18 @@ exact engine, `_contract`.
   an h factor, so it spans fewer keys than the partial g-product of the
   RHS alone.  One side alone is the same engine with one move (f or 2g,
   stage 0 to 0).
-* Two walks.  x_1 sits in the first step's first slot when eps_1 = -1 and
-  in the closing step's second slot when eps_1 = +1.  So the eps_1 = +1
-  chains are walked backwards, 1 -> j_k -> ... -> j_2 -> 1, over the
-  transposed steps {(j2, j1, e2, e1): items}.  Reversal maps the chains
-  one to one onto themselves, and a reversed chain over the transposed
-  steps takes the same keyed integer items as the chain itself; a product
-  does not depend on the order its factors are taken in, and neither does
-  the telescoped sum, which is prod f - prod 2g for any order of the k
-  factors.  In both walks the first factor fills x_1, and index 1 is left
-  by that factor only.
+* Two walks.  Index 1 keeps both signs.  x_1 sits in the first step's
+  first slot when eps_1 = -1 and in the closing step's second slot when
+  eps_1 = +1.  So the eps_1 = +1 chains are walked backwards,
+  1 -> j_k -> ... -> j_2 -> 1, each step taking the transposed factor of
+  the forward step it reverses.  Reversal maps the chains one to one onto
+  themselves, and a reversed chain takes the same keyed integer items as
+  the chain itself; a product does not depend on the order its factors are
+  taken in, and neither does the telescoped sum, which is
+  prod f - prod 2g for any order of the k factors.  In both walks the
+  first factor fills x_1 and the closing one y_1, and index 1 is left by
+  the first factor only; an index j >= 2 is entered by x_j in the forward
+  walk and by y_j in the backward one.
 * Slices.  Position 0 (x_1) is the most significant digit of a key, and a
   chain's x_1 digit is its first factor's, the one that leaves index 1.
   Keeping only that factor's terms of one digit (its lead) splits the
@@ -116,12 +142,14 @@ exact engine, `_contract`.
   nonzero key of the whole difference: key order is tuple order.
 
 `first_lemma_difference` builds the tables of f, h and 2g once per kernel
-direction, contracts LHS - 2^k RHS one slice at a time in the telescoped
-pass and stops at the first slice that is not all zero; so it never holds
-the whole difference.  It decodes that slice's smallest nonzero key and
-contracts the slice once more with f alone, to read LHS there; 2^k RHS is
-LHS minus the difference, exactly, since the pass equals LHS - 2^k RHS by
-the telescoping algebra alone.
+direction and the folded walks of those its moves read (f and h at k = 1,
+where h ends every kept chain), contracts LHS - 2^k RHS one slice at a
+time in the telescoped pass and stops at the first slice that is not all
+zero; so it never holds the whole difference.  It decodes that slice's
+smallest nonzero key and contracts the slice once more with f alone, to
+read LHS there; LHS is odd under the swaps too, so the folded pass gives
+it at a canonical key.  2^k RHS is LHS minus the difference, exactly,
+since the pass equals LHS - 2^k RHS by the telescoping algebra alone.
 
 Cost limit.  Before any factor is built, one factor's terms are bounded from
 the spec: the kernel pieces lie on the anti-diagonal e_a + e_b = 0 (at most
@@ -267,9 +295,10 @@ def _denominator(table) -> int:
                     for c in fac.values()))
 
 
-def _sides(k: int, spec: SeriesPairSpec, window: int):
-    """``(common, [f, h, 2g])``: the walks (see `_walks`) of f, of
-    h = f - 2g and of 2g, over their common denominator ``common``."""
+def _tables(k: int, spec: SeriesPairSpec, window: int):
+    """``(common, [f, h, 2g])``: the tables ``{direction: table}`` (see
+    `_factor`) of f, of h = f - 2g and of 2g, and ``common``, the lcm of
+    their denominators."""
     # one table per kernel direction: every step of k = 1 joins index 1 to
     # itself, and at k >= 2 no step does
     directions = (0,) if k == 1 else (1, -1)
@@ -281,37 +310,66 @@ def _sides(k: int, spec: SeriesPairSpec, window: int):
     h = {d: {pq: v for pq in {**f[d], **g2[d]}
              if (v := f[d].get(pq, ZERO) - g2[d].get(pq, ZERO))}
          for d in directions}
-    tables = (f, h, g2)
-    common = lcm(*map(_denominator, tables))
-    return common, [_walks(table, k, window, common) for table in tables]
+    tables = [f, h, g2]
+    return lcm(*map(_denominator, tables)), tables
 
 
 def _walks(tables, k: int, window: int, common: int):
     """The factors of one table set ``{direction: table}`` (see `_factor`)
-    as lists of (box key, integer) items over ``common``, arranged as the
-    two walks of `_contract`: ``{-1: steps, 1: transposed steps}``, keyed
-    by eps_1."""
-    nvars = 2 * k
-    weight = [(2 * window + 1) ** (nvars - 1 - p) for p in range(nvars)]
-    # Cycle step j1 -> j2 under signs (e1, e2), indices 0-based: the first
-    # slot takes y_{j1} for e1 = +1 (x_{j1} otherwise), the second x_{j2}
-    # for e2 = +1 (y_{j2} otherwise), and the factor carries the sign of the
-    # index its step enters.  Only steps a chain takes are listed.
-    steps = {}
-    for j1, j2, e1, e2 in product(range(k), range(k), (1, -1), (1, -1)):
-        if j1 == j2 and (k > 1 or e1 != e2):
-            continue  # k = 1 closes on index 0 with its own sign
-        wa = weight[2 * j1 + (1 if e1 == 1 else 0)]
-        wb = weight[2 * j2 + (0 if e2 == 1 else 1)]
-        d = 0 if j1 == j2 else 1 if j1 < j2 else -1
-        steps[j1, j2, e1, e2] = [
-            ((p + window) * wa + (q + window) * wb,
-             e2 * c.numerator * (common // c.denominator))
-            for (p, q), c in tables[d].items()
-        ]
-    back = {(j2, j1, e2, e1): items
-            for (j1, j2, e1, e2), items in steps.items()}
-    return {-1: steps, 1: back}
+    as lists of (box key, integer) items over ``common``, folded by the
+    flavor swaps and arranged as the two walks of `_contract`:
+    ``{eps_1: {(j, a, j2): {b: items}}}``.  From index j, whose entering
+    step put the digit ``a`` in its slot (None at index 0, the first), a
+    chain steps to j2 by ``items``, which put the digit ``b`` in j2's slot
+    (None when j2 is 0, closing the chain)."""
+    base = 2 * window + 1
+    weight = [base ** (2 * k - 1 - p) for p in range(2 * k)]
+    ints = {d: [(p + window, q + window,
+                 c.numerator * (common // c.denominator))
+                for (p, q), c in table.items()]
+            for d, table in tables.items()}
+    walks = {}
+    for e0 in (-1, 1):
+        # the positions by which each index is entered and left, indices
+        # 0-based: index 0 leaves by x_1 and is entered by y_1 in both
+        # walks, the others are entered by x_j in the forward walk and by
+        # y_j in the backward one
+        enter = [1] + [2 * j + (e0 > 0) for j in range(1, k)]
+        leave = [0] + [2 * j + (e0 < 0) for j in range(1, k)]
+        steps = {}
+        for j, j2 in product(range(k), repeat=2):
+            if j == j2 and k > 1:
+                continue
+            d = 0 if j == j2 else 1 if j < j2 else -1
+            # (j's digit, j2's digit, integer) per term: a backward step
+            # takes the transposed factor of the forward step it reverses,
+            # and the factor entering index 0 carries eps_1
+            if e0 < 0:
+                uvc = [(p, q, -c if j2 == 0 else c) for p, q, c in ints[d]]
+            else:
+                uvc = [(q, p, c) for p, q, c in ints[-d]]
+            # then u, the digit the next state stores (None when the step
+            # closes the chain), the key with u in j's leaving slot, the key
+            # with u in j's entering slot instead, and the integer
+            wl, we, wn = weight[leave[j]], weight[enter[j]], weight[enter[j2]]
+            terms = [(u, v if j2 else None, u * wl + v * wn, u * we + v * wn,
+                      c) for u, v, c in uvc]
+            by_y = leave[j] % 2 == 1  # then (a, u) is canonical when a < u
+            for a in (None,) if j == 0 else range(base):
+                # a is in the partial key already; the swap moves it to j's
+                # leaving slot
+                shift = a * (wl - we) if j else 0
+                groups: Dict[Optional[int], list] = {}
+                for u, b, kept, swapped, c in terms:
+                    if u == a:
+                        continue  # the pair (a, a) is odd under its swap
+                    if j == 0 or (a < u) == by_y:
+                        groups.setdefault(b, []).append((kept, c))
+                    else:
+                        groups.setdefault(b, []).append((swapped + shift, -c))
+                steps[j, a, j2] = groups
+        walks[e0] = steps
+    return walks
 
 
 def _leads(moves, k: int, window: int) -> list:
@@ -323,49 +381,53 @@ def _leads(moves, k: int, window: int) -> list:
     top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
     return sorted({key // top for src, dst, walks in moves
                    if src == 0 and (k > 1 or dst == last)
-                   for e0, steps in walks.items()
-                   for step, items in steps.items()
-                   if step[0] == 0 and step[2] == e0
+                   for steps in walks.values()
+                   for (j, _, _), groups in steps.items() if j == 0
+                   for items in groups.values()
                    for key, _ in items})
 
 
 def _contract(moves, k: int, window: int, acc: Dict[int, int],
               lead: Optional[int] = None) -> None:
     """Add ``common^k`` times the chains of ``moves`` into ``acc``, keyed by
-    box keys (see the module docstring).  ``moves`` lists ``(src, dst,
-    walks)`` with walks from `_walks`: a step from stage ``src`` takes a
-    factor of ``walks`` to stage ``dst``.  Chains start at stage 0, and
-    only those that end at the last stage are added.  With ``lead``, only
-    the chains whose x_1 digit is ``lead`` are: the factor that leaves
-    index 1 keeps the terms of that digit alone."""
+    canonical box keys (see the module docstring).  ``moves`` lists
+    ``(src, dst, walks)`` with walks from `_walks`: a step from stage
+    ``src`` takes a factor of ``walks`` to stage ``dst``.  Chains start at
+    stage 0, and only those that end at the last stage are added.  With
+    ``lead``, only the chains whose x_1 digit is ``lead`` are: the factor
+    that leaves index 1 keeps the terms of that digit alone."""
     last = max(dst for _, dst, _ in moves)
     top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
 
     def factor(steps, step):
         if lead is None or step[0]:
             return steps[step]
-        return [(key, c) for key, c in steps[step] if key // top == lead]
+        # a group left empty would open states that carry nothing
+        return {b: kept for b, items in steps[step].items()
+                if (kept := [(key, c) for key, c in items
+                             if key // top == lead])}
 
     for e0 in (-1, 1):
-        layer = {(1, 0, e0, 0): {0: 1}}
+        layer = {(1, 0, None, 0): {0: 1}}
         for _ in range(k - 1):
             grown: dict = {}
-            for (seen, j, ej, stage), partial in layer.items():
+            for (seen, j, a, stage), partial in layer.items():
                 for src, dst, walks in moves:
                     if src != stage:
                         continue
                     for j2 in range(1, k):
                         if seen >> j2 & 1:
                             continue
-                        for e2 in (1, -1):
-                            state = (seen | 1 << j2, j2, e2, dst)
+                        for b, items in factor(walks[e0], (j, a, j2)).items():
+                            state = (seen | 1 << j2, j2, b, dst)
                             _extend(grown.setdefault(state, {}), partial,
-                                    factor(walks[e0], (j, j2, ej, e2)))
+                                    items)
             layer = grown
-        for (_, j, ej, stage), partial in layer.items():
+        for (_, j, a, stage), partial in layer.items():
             for src, dst, walks in moves:
                 if src == stage and dst == last:
-                    _extend(acc, partial, factor(walks[e0], (j, 0, ej, e0)))
+                    for items in factor(walks[e0], (j, a, 0)).values():
+                        _extend(acc, partial, items)
 
 
 def _extend(out: Dict[int, int], partial: Dict[int, int], factor) -> None:
@@ -401,8 +463,13 @@ def first_lemma_difference(
     The difference is contracted in one telescoped pass and dropped one
     x_1 slice at a time, in increasing order (see the module docstring)."""
     _validate(k, spec, window)
-    common, (lhs, diff, rhs) = _sides(k, spec, window)
-    moves = ((0, 0, lhs), (0, 1, diff), (1, 1, rhs))
+    common, tables = _tables(k, spec, window)
+    # the telescoped moves: f (stage 0 to 0), h (0 to 1) and 2g (1 to 1);
+    # at k = 1 the one factor leaves index 1 and closes the chain, which
+    # only h can end, so 2g's walks are not built
+    stages = ((0, 0), (0, 1), (1, 1)) if k > 1 else ((0, 0), (0, 1))
+    moves = [(src, dst, _walks(table, k, window, common))
+             for (src, dst), table in zip(stages, tables)]
     for lead in _leads(moves, k, window):
         acc: Dict[int, int] = {}
         _contract(moves, k, window, acc, lead)
@@ -410,7 +477,7 @@ def first_lemma_difference(
         if first is not None:
             # this slice again with f alone; 2^k RHS is LHS - the difference
             lhs_acc: Dict[int, int] = {}
-            _contract(((0, 0, lhs),), k, window, lhs_acc, lead)
+            _contract(moves[:1], k, window, lhs_acc, lead)
             lhs_value = lhs_acc.get(first, 0)
             den = common ** k
             return (_decode(first, k, window), Fraction(lhs_value, den),

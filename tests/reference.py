@@ -4,6 +4,9 @@
   and sides as `bkpnpoint.series.Series`.  The program builds no `Series`;
   these place its term tables in one, so the tests can compare the integer
   engines with plain Series arithmetic.
+* The lemma contraction over all 2^k sign vectors: `contract_all_signs` on
+  the walks of `walks_all_signs`, which the program's pass, folded by the
+  flavor swaps, is held to through `expand_signs`.
 * Mode actions one at a time: `apply_mode_ops`, which `fock.two_mode` and
   the Hamiltonian images are held to.
 * The KP oracle: `tau_coefficients_kp`, the KP tau-function's coefficients
@@ -16,6 +19,7 @@
 
 from bisect import insort
 from fractions import Fraction
+from itertools import product
 
 from bkpnpoint import lemma
 from bkpnpoint.affine import bkp_terms, kp_terms
@@ -87,17 +91,119 @@ def factor(which, spec, a, b, window):
                  window, position(a), position(b))
 
 
+def sides(k, spec, window, walks=None):
+    """``(common, [f, h, 2g])``: the walks of the three tables of
+    `lemma._tables`, 2g's at k = 1 too, built by ``walks``
+    (`lemma._walks` unless given)."""
+    common, tables = lemma._tables(k, spec, window)
+    walks = walks or lemma._walks
+    return common, [walks(table, k, window, common) for table in tables]
+
+
+def expand_signs(acc, k, window):
+    """A table of `lemma._contract`, on canonical keys (x_j < y_j for
+    j >= 2), as the whole table: each nonzero entry, and its images under
+    every set of the flavor swaps x_j <-> y_j (j >= 2), each swap negating."""
+    base = 2 * window + 1
+    out = {}
+    for key, v in acc.items():
+        if not v:
+            continue
+        exps = lemma._decode(key, k, window)
+        for swaps in product((False, True), repeat=k - 1):
+            digits, value = list(exps), v
+            for j, swap in enumerate(swaps, 1):
+                if swap:
+                    x, y = 2 * j, 2 * j + 1
+                    digits[x], digits[y] = exps[y], exps[x]
+                    value = -value
+            image = 0
+            for e in digits:
+                image = image * base + e + window
+            out[image] = value
+    return out
+
+
 def lemma_side(which, k, spec, window):
     """One side of the lemma identity on the box |exponent| <= window, from
     the program's engine in one unsliced pass, f alone for "LHS" and 2g
-    alone for "RHS" (so it includes the 2^k)."""
-    common, (lhs, _, rhs) = lemma._sides(k, spec, window)
-    walks = lhs if which == "LHS" else rhs
+    alone for "RHS" (so it includes the 2^k), expanded from its canonical
+    keys."""
+    common, (lhs, _, rhs) = sides(k, spec, window)
     acc = {}
-    lemma._contract(((0, 0, walks),), k, window, acc)
+    lemma._contract(((0, 0, lhs if which == "LHS" else rhs),), k, window, acc)
     coeffs = {lemma._decode(key, k, window): Fraction(v, common ** k)
-              for key, v in acc.items() if v}
+              for key, v in expand_signs(acc, k, window).items()}
     return Series(2 * k, uniform_window(2 * k, -window, window), coeffs)
+
+
+# -- the lemma contraction over all 2^k sign vectors ---------------------------
+
+
+def walks_all_signs(tables, k: int, window: int, common: int):
+    """The factors of one table set ``{direction: table}`` (see
+    `lemma._factor`) as lists of (box key, integer) items over ``common``,
+    arranged as the two walks of `contract_all_signs`: ``{-1: steps,
+    1: transposed steps}``, keyed by eps_1."""
+    nvars = 2 * k
+    weight = [(2 * window + 1) ** (nvars - 1 - p) for p in range(nvars)]
+    # Cycle step j1 -> j2 under signs (e1, e2), indices 0-based: the first
+    # slot takes y_{j1} for e1 = +1 (x_{j1} otherwise), the second x_{j2}
+    # for e2 = +1 (y_{j2} otherwise), and the factor carries the sign of the
+    # index its step enters.  Only steps a chain takes are listed.
+    steps = {}
+    for j1, j2, e1, e2 in product(range(k), range(k), (1, -1), (1, -1)):
+        if j1 == j2 and (k > 1 or e1 != e2):
+            continue  # k = 1 closes on index 0 with its own sign
+        wa = weight[2 * j1 + (1 if e1 == 1 else 0)]
+        wb = weight[2 * j2 + (0 if e2 == 1 else 1)]
+        d = 0 if j1 == j2 else 1 if j1 < j2 else -1
+        steps[j1, j2, e1, e2] = [
+            ((p + window) * wa + (q + window) * wb,
+             e2 * c.numerator * (common // c.denominator))
+            for (p, q), c in tables[d].items()
+        ]
+    back = {(j2, j1, e2, e1): items
+            for (j1, j2, e1, e2), items in steps.items()}
+    return {-1: steps, 1: back}
+
+
+def contract_all_signs(moves, k: int, window: int, acc, lead=None) -> None:
+    """The lemma contraction over all 2^k sign vectors, as `lemma._contract`
+    was before it folded the flavor swaps: add ``common^k`` times the chains
+    of ``moves`` (walks from `walks_all_signs`) into ``acc``, keyed by box
+    keys, the chains that end at the last stage only, and with ``lead``
+    only those whose x_1 digit is ``lead``.  A state carries the sign of
+    its last index."""
+    last = max(dst for _, dst, _ in moves)
+    top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
+
+    def factor(steps, step):
+        if lead is None or step[0]:
+            return steps[step]
+        return [(key, c) for key, c in steps[step] if key // top == lead]
+
+    for e0 in (-1, 1):
+        layer = {(1, 0, e0, 0): {0: 1}}
+        for _ in range(k - 1):
+            grown = {}
+            for (seen, j, ej, stage), partial in layer.items():
+                for src, dst, walks in moves:
+                    if src != stage:
+                        continue
+                    for j2 in range(1, k):
+                        if seen >> j2 & 1:
+                            continue
+                        for e2 in (1, -1):
+                            state = (seen | 1 << j2, j2, e2, dst)
+                            lemma._extend(grown.setdefault(state, {}), partial,
+                                          factor(walks[e0], (j, j2, ej, e2)))
+            layer = grown
+        for (_, j, ej, stage), partial in layer.items():
+            for src, dst, walks in moves:
+                if src == stage and dst == last:
+                    lemma._extend(acc, partial,
+                                  factor(walks[e0], (j, 0, ej, e0)))
 
 
 def _insert(state, m2: int):

@@ -18,7 +18,15 @@ from bkpnpoint.lemma import (
 from bkpnpoint.npoint import compare_formulas
 from bkpnpoint.sampling import random_affine_b, random_series_pair_spec
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
-from reference import factor, lemma_side, position
+from reference import (
+    contract_all_signs,
+    expand_signs,
+    factor,
+    lemma_side,
+    position,
+    sides,
+    walks_all_signs,
+)
 
 F = Fraction
 W6 = uniform_window(4, -6, 6)
@@ -486,20 +494,23 @@ def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
 
 
 def _triple_2g_openings(monkeypatch):
-    # every term of 2g's factors that leave index 1 tripled, in both walks.
-    # The entries are rebound, not changed in place: the eps_1 = +1 walk
-    # shares its item lists with the other walk's closing steps.
-    sides = lemma._sides
+    # every term of 2g's factors that leave index 1 tripled, in both walks,
+    # in copies handed to every contraction; 2g's walks are those of the
+    # stage 1 -> 1 move, which k = 1 does not have
+    contract = lemma._contract
 
-    def tripled(*args):
-        common, (lhs, diff, rhs) = sides(*args)
-        for steps in rhs.values():
-            for step, items in list(steps.items()):
-                if step[0] == 0:
-                    steps[step] = [(key, 3 * c) for key, c in items]
-        return common, [lhs, diff, rhs]
+    def tripled_openings(walks):
+        return {e0: {step: {b: [(key, 3 * c) for key, c in items]
+                            for b, items in groups.items()}
+                     if step[0] == 0 else groups
+                     for step, groups in steps.items()}
+                for e0, steps in walks.items()}
 
-    monkeypatch.setattr(lemma, "_sides", tripled)
+    def tripled(moves, *args):
+        contract([(src, dst, tripled_openings(walks) if src == dst == 1
+                   else walks) for src, dst, walks in moves], *args)
+
+    monkeypatch.setattr(lemma, "_contract", tripled)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -526,46 +537,65 @@ def test_first_difference_past_the_smallest_slice(monkeypatch):
     # first difference lies past it
     spec = _spec(s={(1, 2): F(1)}, t={3: F(1)})
     other = _spec(s={(1, 2): F(2)}, t={3: F(1)})
-    _, sides = lemma._sides(1, spec, 6)
-    assert lemma._leads(_telescoped(*sides), 1, 6)[0] - 6 == -3
+    _, walk_sets = sides(1, spec, 6)
+    assert lemma._leads(_telescoped(*walk_sets), 1, 6)[0] - 6 == -3
     _break_g(monkeypatch, other)
     assert first_lemma_difference(1, spec, 6)[0][0] > -3
 
 
-def test_first_difference_at_window_zero(monkeypatch):
-    # at window 0 every factor is its constant term, and both sides vanish:
-    # the constants depend on the step's direction but not on its signs, so
-    # the sum over signs cancels them, and no change to a direction table
-    # can break the identity here.  Tripling the factors of the steps whose
-    # two signs agree (their arguments differ in flavor) does, and keeps the
-    # flavor swap symmetry the half-enumeration reference relies on.
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_difference_vanishes_at_window_zero(monkeypatch, k):
+    # at window 0 every digit is 0, so every pair x_j, y_j is fixed by its
+    # flavor swap, and LHS - 2^k RHS, odd under that swap, is 0 whatever
+    # the direction tables hold: a constant added to every table of g, or
+    # to every table of f, changes nothing
+    factor = lemma._factor
+    for which in ("RHS", "LHS"):
+
+        def patched(side, given, d, w):
+            table = factor(side, given, d, w)
+            if side == which:
+                table[0, 0] = table.get((0, 0), 0) + F(5, 3)
+            return table
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lemma, "_factor", patched)
+            for seed in range(10):
+                spec = random_series_pair_spec(seed)
+                assert first_lemma_difference(k, spec, 0) is None
+
+
+def _first_difference_all_signs(k, spec, window):
+    """`first_lemma_difference` by the unsliced pass over all 2^k sign
+    vectors (`reference.contract_all_signs`)."""
+    common, (lhs, diff, rhs) = sides(k, spec, window, walks_all_signs)
+    acc, lhs_acc = {}, {}
+    contract_all_signs(_telescoped(lhs, diff, rhs), k, window, acc)
+    first = min((key for key, v in acc.items() if v), default=None)
+    if first is None:
+        return None
+    contract_all_signs(((0, 0, lhs),), k, window, lhs_acc)
+    den = common ** k
+    return (lemma._decode(first, k, window), F(lhs_acc.get(first, 0), den),
+            F(lhs_acc.get(first, 0) - acc[first], den))
+
+
+def test_first_difference_at_window_one(monkeypatch):
+    # the smallest window where a patched factor table can break the
+    # identity: g tripled there; the folded pass, the pass over all sign
+    # vectors and the plain product loop report the same first difference
     spec = random_series_pair_spec(0)
-    assert check_lemma(2, spec, 0)
-    walks = lemma._walks
-
-    def tripled_walks(*args):
-        # every table goes through here, f, h = f - 2g and 2g alike, so h
-        # stays the difference of the tripled f and 2g
-        out = walks(*args)
-        # the eps_1 = -1 walk keys the steps as they are; the other walk
-        # shares their item lists
-        for (_, _, e1, e2), items in out[-1].items():
-            if e1 == e2:
-                items[:] = [(key, 3 * c) for key, c in items]
-        return out
-
-    def tripled_factor(which, given, a, b, win):
-        fac = factor(which, given, a, b, win)
-        return fac.scale(3) if a[1] != b[1] else fac
-
-    monkeypatch.setattr(lemma, "_walks", tripled_walks)
-    lhs = _reference_side("LHS", 2, spec, 0, tripled_factor)
-    rhs = _reference_side("RHS", 2, spec, 0, tripled_factor)
-    exps = (0, 0, 0, 0)
-    assert lhs.coefficient(exps) != rhs.coefficient(exps)
-    assert first_lemma_difference(2, spec, 0) == (
-        exps, lhs.coefficient(exps), rhs.coefficient(exps))
-    assert not check_lemma(2, spec, 0)
+    assert check_lemma(2, spec, 1)
+    factor = lemma._factor
+    monkeypatch.setattr(lemma, "_factor", lambda which, given, d, w: {
+        pq: 3 * c if which == "RHS" else c
+        for pq, c in factor(which, given, d, w).items()})
+    lhs = _reference_side("LHS", 2, spec, 1)
+    rhs = _reference_side("RHS", 2, spec, 1)
+    exps = min(lhs.sub(rhs).coeffs)
+    want = (exps, lhs.coefficient(exps), rhs.coefficient(exps))
+    assert first_lemma_difference(2, spec, 1) == want
+    assert _first_difference_all_signs(2, spec, 1) == want
 
 
 def _telescoped(lhs, diff, rhs):
@@ -582,7 +612,7 @@ def test_slices_partition_the_unsliced_difference(k):
     top = (2 * window + 1) ** (2 * k - 1)
     for seed in range(10):
         spec = random_series_pair_spec(seed)
-        _, (lhs, diff, rhs) = lemma._sides(k, spec, window)
+        _, (lhs, diff, rhs) = sides(k, spec, window)
         moves = _telescoped(lhs, diff, rhs)
         whole = {}
         lemma._contract(moves, k, window, whole)
@@ -604,7 +634,7 @@ def _nonzero(acc):
 def _difference_both_ways(k, spec, window):
     """LHS - 2^k RHS unsliced, from the telescoped pass and from the two
     sides contracted apart, as integers over common^k."""
-    _, (lhs, diff, rhs) = lemma._sides(k, spec, window)
+    _, (lhs, diff, rhs) = sides(k, spec, window)
     telescoped, apart, rhs_acc = {}, {}, {}
     lemma._contract(_telescoped(lhs, diff, rhs), k, window, telescoped)
     lemma._contract(((0, 0, lhs),), k, window, apart)
@@ -637,6 +667,93 @@ def test_telescoped_pass_equals_sides_apart_k4(monkeypatch, broken):
     telescoped, apart = _difference_both_ways(4, _spec(**SMALL_K4_SPEC), 3)
     assert telescoped == apart
     assert bool(apart) == broken
+
+
+def _passes(lhs, diff, rhs):
+    # f alone, 2g alone and the telescoped LHS - 2^k RHS
+    return ((0, 0, lhs),), ((0, 0, rhs),), _telescoped(lhs, diff, rhs)
+
+
+def _assert_folded_pass_matches_all_signs(k, spec, window):
+    # each pass, whole and per x_1 slice, expanded from its canonical keys
+    # by the signed flavor swaps, is the pass over all 2^k sign vectors
+    _, folded = sides(k, spec, window)
+    _, signed = sides(k, spec, window, walks_all_signs)
+    for moves, reference in zip(_passes(*folded), _passes(*signed)):
+        for lead in [None, *lemma._leads(moves, k, window)]:
+            got, want = {}, {}
+            lemma._contract(moves, k, window, got, lead)
+            contract_all_signs(reference, k, window, want, lead)
+            assert expand_signs(got, k, window) == _nonzero(want)
+
+
+@pytest.mark.parametrize("window", [0, 3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_folded_pass_matches_all_signs(k, window):
+    for seed in range(40):
+        _assert_folded_pass_matches_all_signs(
+            k, random_series_pair_spec(seed), window)
+
+
+def test_folded_pass_matches_all_signs_k4():
+    _assert_folded_pass_matches_all_signs(4, _spec(**SMALL_K4_SPEC), 4)
+
+
+def _first_term_plus_a_seventh(table):
+    first = min(table)
+    return {**table, first: table[first] + F(1, 7)}
+
+
+def _first_term_negated(table):
+    first = min(table)
+    return {**table, first: -table[first]}
+
+
+def _term_added(table):
+    return {**table, (-1, -2): table.get((-1, -2), 0) + 1}
+
+
+@pytest.mark.parametrize("mutate", [
+    _first_term_plus_a_seventh, _first_term_negated, _term_added])
+@pytest.mark.parametrize("k,seeds", [(1, range(40)), (2, range(40)),
+                                     (3, range(8))])
+def test_patched_g_reports_match_the_product_loop(monkeypatch, mutate, k,
+                                                  seeds):
+    # one term of every table of g patched: the report is the plain
+    # product loop's first difference, or None where that has none
+    factor = lemma._factor
+    monkeypatch.setattr(lemma, "_factor", lambda which, given, d, w: (
+        mutate(factor(which, given, d, w)) if which == "RHS"
+        else factor(which, given, d, w)))
+    broken = 0
+    for seed in seeds:
+        spec = random_series_pair_spec(seed)
+        lhs = _reference_side("LHS", k, spec, 6)
+        rhs = _reference_side("RHS", k, spec, 6)
+        diff = lhs.sub(rhs).coeffs
+        want = None
+        if diff:
+            exps = min(diff)
+            want = (exps, lhs.coefficient(exps), rhs.coefficient(exps))
+            broken += 1
+        assert first_lemma_difference(k, spec, 6) == want, seed
+    assert broken
+
+
+@pytest.mark.parametrize("k,built", [(1, 2), (2, 3), (3, 3)])
+def test_walks_built_once_per_move(monkeypatch, k, built):
+    # f, h and 2g each get their walks once; at k = 1 the one factor closes
+    # the chain, which only h can end, so 2g's table forms h but no walks
+    made = []
+    walks = lemma._walks
+
+    def counted(*args):
+        made.append(args)
+        return walks(*args)
+
+    monkeypatch.setattr(lemma, "_walks", counted)
+    assert first_lemma_difference(k, random_series_pair_spec(0), 6) is None
+    assert len(made) == built
 
 
 @pytest.mark.parametrize("window", [0, 3, 6])
