@@ -68,14 +68,17 @@ exact engine, `_contract`.
   meet index j, and flips the sign; a factor's table depends only on its
   direction, never on eps.  So the terms of a sign vector and of that
   vector with eps_j flipped are each other's images under -S_j, and each
-  side, and the difference D = LHS - 2^k RHS, is odd under every S_j:
+  side, and the difference D = LHS - 2^k RHS, is odd under every S_j,
+  S_1 included:
 
       D = sum_{eps_1} (1 - S_2) ... (1 - S_k) D_+,
 
   where D_+ keeps eps_j = +1 for j >= 2.  Like the telescoping below, this
   holds for whatever tables `_factor` returns.  D vanishes where x_j = y_j
   and is fixed elsewhere by its canonical keys, those with x_j < y_j for
-  every j >= 2, so the engine contracts D on those alone.  In D_+ the step
+  every j, so the engine contracts D on those alone: the fold below keeps
+  x_j < y_j for j >= 2, and the slices keep x_1 < y_1 (see Slices), since
+  eps_1 keeps both its signs.  In D_+ the step
   entering j places one digit a of j's pair and the step leaving j the
   other, u; `_walks` folds the leaving step's items once for each a: an
   item with u = a is dropped (S_j fixes it, so 1 - S_j cancels it), one
@@ -117,9 +120,10 @@ exact engine, `_contract`.
   an h factor, so it spans fewer keys than the partial g-product of the
   RHS alone.  One side alone is the same engine with one move (f or 2g,
   stage 0 to 0).
-* Two walks.  Index 1 keeps both signs.  x_1 sits in the first step's
-  first slot when eps_1 = -1 and in the closing step's second slot when
-  eps_1 = +1.  So the eps_1 = +1 chains are walked backwards,
+* Two walks.  Index 1 keeps both signs: S_1 is applied by the slices'
+  filter (see Slices), not folded into the items.  x_1 sits in the first
+  step's first slot when eps_1 = -1 and in the closing step's second slot
+  when eps_1 = +1.  So the eps_1 = +1 chains are walked backwards,
   1 -> j_k -> ... -> j_2 -> 1, each step taking the transposed factor of
   the forward step it reverses.  Reversal maps the chains one to one onto
   themselves, and a reversed chain takes the same keyed integer items as
@@ -128,18 +132,26 @@ exact engine, `_contract`.
   prod f - prod 2g for any order of the k factors.  In both walks the
   first factor fills x_1 and the closing one y_1, and index 1 is left by
   the first factor only; an index j >= 2 is entered by x_j in the forward
-  walk and by y_j in the backward one.
+  walk and by y_j in the backward one.  `_walks` groups the closing
+  factor's items by the y_1 digit they place.
 * Slices.  Position 0 (x_1) is the most significant digit of a key, and a
   chain's x_1 digit is its first factor's, the one that leaves index 1.
   Keeping only that factor's terms of one digit (its lead) splits the
   chains into disjoint sets, one per lead, which `_contract` contracts with
-  the same DP; together the slices do the work of one unsliced pass.  Only
-  f and h leave index 1, at stage 0 (2g follows an h step), so the leads
-  come from their first factors; at k = 1 that factor also closes the
-  chain, which must end at stage 1, so only h's count.  A slice holds
-  exactly the keys of its lead digit, so when the slices are visited in
-  increasing lead, the first slice with a nonzero value holds the smallest
-  nonzero key of the whole difference: key order is tuple order.
+  the same DP.  A chain's y_1 digit is its closing factor's, so a slice
+  also keeps only the closing groups whose y_1 digit exceeds its lead: it
+  holds exactly the keys with x_1 the lead and y_1 > x_1, the canonical
+  half of its keys under S_1, and together the slices are the unsliced
+  pass on the keys with y_1 > x_1.  Only f and h leave index 1, at stage 0
+  (2g follows an h step), so the leads come from their first factors; at
+  k = 1 that factor also closes the chain, which must end at stage 1, so
+  only h's count.  A lead that no closing y_1 digit exceeds would give an
+  empty slice and is left out; the tables of `_factor` put y_1 at
+  exponents <= 0 on closing, so that is the x_1 exponent 0.  The smallest
+  nonzero key of D has x_1 < y_1, since S_1 maps any other nonzero key to
+  a smaller one, so when the slices are visited in increasing lead, the
+  first slice with a nonzero value holds the smallest nonzero key of the
+  whole difference: key order is tuple order.
 
 `first_lemma_difference` builds the tables of f, h and 2g once per kernel
 direction and the folded walks of those its moves read (f and h at k = 1,
@@ -148,8 +160,9 @@ time in the telescoped pass and stops at the first slice that is not all
 zero; so it never holds the whole difference.  It decodes that slice's
 smallest nonzero key and contracts the slice once more with f alone, to
 read LHS there; LHS is odd under the swaps too, so the folded pass gives
-it at a canonical key.  2^k RHS is LHS minus the difference, exactly,
-since the pass equals LHS - 2^k RHS by the telescoping algebra alone.
+it at a canonical key, and the y_1 filter only drops keys.  2^k RHS is
+LHS minus the difference, exactly, since the pass equals LHS - 2^k RHS by
+the telescoping algebra alone.
 
 Cost limit.  Before any factor is built, one factor's terms are bounded from
 the spec: the kernel pieces lie on the anti-diagonal e_a + e_b = 0 (at most
@@ -321,7 +334,7 @@ def _walks(tables, k: int, window: int, common: int):
     ``{eps_1: {(j, a, j2): {b: items}}}``.  From index j, whose entering
     step put the digit ``a`` in its slot (None at index 0, the first), a
     chain steps to j2 by ``items``, which put the digit ``b`` in j2's slot
-    (None when j2 is 0, closing the chain)."""
+    (y_1's when j2 is 0, closing the chain)."""
     base = 2 * window + 1
     weight = [base ** (2 * k - 1 - p) for p in range(2 * k)]
     ints = {d: [(p + window, q + window,
@@ -348,18 +361,18 @@ def _walks(tables, k: int, window: int, common: int):
                 uvc = [(p, q, -c if j2 == 0 else c) for p, q, c in ints[d]]
             else:
                 uvc = [(q, p, c) for p, q, c in ints[-d]]
-            # then u, the digit the next state stores (None when the step
-            # closes the chain), the key with u in j's leaving slot, the key
-            # with u in j's entering slot instead, and the integer
+            # then (u, v, the key with u in j's leaving slot, the key with u
+            # in j's entering slot instead, the integer); v, the digit put in
+            # j2's slot (y_1's on closing), keys the groups
             wl, we, wn = weight[leave[j]], weight[enter[j]], weight[enter[j2]]
-            terms = [(u, v if j2 else None, u * wl + v * wn, u * we + v * wn,
-                      c) for u, v, c in uvc]
+            terms = [(u, v, u * wl + v * wn, u * we + v * wn, c)
+                     for u, v, c in uvc]
             by_y = leave[j] % 2 == 1  # then (a, u) is canonical when a < u
             for a in (None,) if j == 0 else range(base):
                 # a is in the partial key already; the swap moves it to j's
                 # leaving slot
                 shift = a * (wl - we) if j else 0
-                groups: Dict[Optional[int], list] = {}
+                groups: Dict[int, list] = {}
                 for u, b, kept, swapped, c in terms:
                     if u == a:
                         continue  # the pair (a, a) is odd under its swap
@@ -376,15 +389,22 @@ def _leads(moves, k: int, window: int) -> list:
     """The x_1 digits, in increasing order, of the factors that can open a
     kept chain of ``moves`` (see `_contract`): they leave index 1 from
     stage 0, and at k = 1, where that factor closes the chain, they end at
-    the last stage."""
+    the last stage.  A digit no closing factor's y_1 digit exceeds is left
+    out: its slice is empty."""
     last = max(dst for _, dst, _ in moves)
     top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
-    return sorted({key // top for src, dst, walks in moves
-                   if src == 0 and (k > 1 or dst == last)
-                   for steps in walks.values()
-                   for (j, _, _), groups in steps.items() if j == 0
-                   for items in groups.values()
-                   for key, _ in items})
+    # the largest y_1 digit a factor closing a kept chain places
+    y1 = max((b for _, dst, walks in moves if dst == last
+              for steps in walks.values()
+              for (_, _, j2), groups in steps.items() if j2 == 0
+              for b in groups), default=0)
+    leads = {key // top for src, dst, walks in moves
+             if src == 0 and (k > 1 or dst == last)
+             for steps in walks.values()
+             for (j, _, _), groups in steps.items() if j == 0
+             for items in groups.values()
+             for key, _ in items}
+    return sorted(lead for lead in leads if lead < y1)
 
 
 def _contract(moves, k: int, window: int, acc: Dict[int, int],
@@ -394,8 +414,9 @@ def _contract(moves, k: int, window: int, acc: Dict[int, int],
     ``(src, dst, walks)`` with walks from `_walks`: a step from stage
     ``src`` takes a factor of ``walks`` to stage ``dst``.  Chains start at
     stage 0, and only those that end at the last stage are added.  With
-    ``lead``, only the chains whose x_1 digit is ``lead`` are: the factor
-    that leaves index 1 keeps the terms of that digit alone."""
+    ``lead``, only the chains whose x_1 digit is ``lead`` and whose y_1
+    digit is greater are: the factor that leaves index 1 keeps the terms of
+    that digit alone, and the closing factor the groups of greater y_1."""
     last = max(dst for _, dst, _ in moves)
     top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
 
@@ -426,8 +447,9 @@ def _contract(moves, k: int, window: int, acc: Dict[int, int],
         for (_, j, a, stage), partial in layer.items():
             for src, dst, walks in moves:
                 if src == stage and dst == last:
-                    for items in factor(walks[e0], (j, a, 0)).values():
-                        _extend(acc, partial, items)
+                    for b, items in factor(walks[e0], (j, a, 0)).items():
+                        if lead is None or b > lead:
+                            _extend(acc, partial, items)
 
 
 def _extend(out: Dict[int, int], partial: Dict[int, int], factor) -> None:

@@ -6,7 +6,8 @@
   engines with plain Series arithmetic.
 * The lemma contraction over all 2^k sign vectors: `contract_all_signs` on
   the walks of `walks_all_signs`, which the program's pass, folded by the
-  flavor swaps, is held to through `expand_signs`.
+  flavor swaps, is held to through `expand_signs` (and its x_1 slices
+  through `expand_first_swap` too).
 * Mode actions one at a time: `apply_mode_ops`, which `fock.two_mode` and
   the Hamiltonian images are held to.
 * The KP oracle: `tau_coefficients_kp`, the KP tau-function's coefficients
@@ -121,6 +122,22 @@ def expand_signs(acc, k, window):
             for e in digits:
                 image = image * base + e + window
             out[image] = value
+    return out
+
+
+def expand_first_swap(acc, k, window):
+    """The union of the x_1 slices of `lemma._contract`, which keep y_1 > x_1
+    only, as the whole table: each nonzero entry, and its image under the
+    flavor swap x_1 <-> y_1, negated."""
+    out = {}
+    for key, v in acc.items():
+        if not v:
+            continue
+        exps = lemma._decode(key, k, window)
+        image = 0
+        for e in (exps[1], exps[0], *exps[2:]):
+            image = image * (2 * window + 1) + e + window
+        out[key], out[image] = v, -v
     return out
 
 

@@ -20,6 +20,7 @@ from bkpnpoint.sampling import random_affine_b, random_series_pair_spec
 from bkpnpoint.series import KernelKind, Series, expand_kernel, uniform_window
 from reference import (
     contract_all_signs,
+    expand_first_swap,
     expand_signs,
     factor,
     lemma_side,
@@ -603,28 +604,48 @@ def _telescoped(lhs, diff, rhs):
     return ((0, 0, lhs), (0, 1, diff), (1, 1, rhs))
 
 
+def _first_pair(key, k, window):
+    # the x_1 and y_1 digits of a box key
+    return divmod(key // (2 * window + 1) ** (2 * k - 2), 2 * window + 1)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_slices_partition_the_unsliced_difference(k):
-    # the x_1 slices of LHS - 2^k RHS come in increasing lead, each holds
-    # the keys of its lead digit only, and together they are the unsliced
-    # contraction, key for key
+def test_slices_partition_the_unsliced_difference(monkeypatch, k):
+    # the unsliced pass is odd under x_1 <-> y_1: 0 where x_1 = y_1, negated
+    # at the swapped key; the x_1 slices come in increasing lead, each holds
+    # the keys of its lead digit with a greater y_1 only, and together they
+    # are the unsliced pass on the keys with y_1 > x_1, key for key.  Each
+    # side and the difference, with g from another spec too, so that the
+    # difference is not 0
     window = 6
-    top = (2 * window + 1) ** (2 * k - 1)
     for seed in range(10):
         spec = random_series_pair_spec(seed)
-        _, (lhs, diff, rhs) = sides(k, spec, window)
-        moves = _telescoped(lhs, diff, rhs)
-        whole = {}
-        lemma._contract(moves, k, window, whole)
-        sliced = {}
-        leads = lemma._leads(moves, k, window)
-        for lead in leads:
-            part = {}
-            lemma._contract(moves, k, window, part, lead)
-            assert all(key // top == lead for key in part)
-            sliced.update(part)
-        assert leads == sorted(set(leads))
-        assert sliced == whole
+        with monkeypatch.context() as patch:
+            _break_g(patch, random_series_pair_spec(seed + 10))
+            _, broken = sides(k, spec, window)
+        _, walk_sets = sides(k, spec, window)
+        for moves in (*_passes(*walk_sets), _telescoped(*broken)):
+            whole = {}
+            lemma._contract(moves, k, window, whole)
+            upper = {}
+            for key, v in whole.items():
+                x1, y1 = _first_pair(key, k, window)
+                assert x1 != y1 or not v
+                if x1 < y1:
+                    upper[key] = v
+            assert expand_first_swap(upper, k, window) == _nonzero(whole)
+            sliced = {}
+            leads = lemma._leads(moves, k, window)
+            for lead in leads:
+                part = {}
+                lemma._contract(moves, k, window, part, lead)
+                for key in part:
+                    x1, y1 = _first_pair(key, k, window)
+                    assert x1 == lead < y1
+                sliced.update(part)
+            assert leads == sorted(set(leads))
+            assert sliced == upper
+        assert _nonzero(whole)
 
 
 def _nonzero(acc):
@@ -675,16 +696,22 @@ def _passes(lhs, diff, rhs):
 
 
 def _assert_folded_pass_matches_all_signs(k, spec, window):
-    # each pass, whole and per x_1 slice, expanded from its canonical keys
-    # by the signed flavor swaps, is the pass over all 2^k sign vectors
+    # each pass, expanded from its canonical keys by the signed flavor swaps
+    # of j >= 2, is the pass over all 2^k sign vectors; so is the union of
+    # its x_1 slices, which keep y_1 > x_1 only, expanded by all 2^k signed
+    # swaps, x_1 <-> y_1 included
     _, folded = sides(k, spec, window)
     _, signed = sides(k, spec, window, walks_all_signs)
     for moves, reference in zip(_passes(*folded), _passes(*signed)):
-        for lead in [None, *lemma._leads(moves, k, window)]:
-            got, want = {}, {}
-            lemma._contract(moves, k, window, got, lead)
-            contract_all_signs(reference, k, window, want, lead)
-            assert expand_signs(got, k, window) == _nonzero(want)
+        got, want = {}, {}
+        lemma._contract(moves, k, window, got)
+        contract_all_signs(reference, k, window, want)
+        assert expand_signs(got, k, window) == _nonzero(want)
+        sliced = {}
+        for lead in lemma._leads(moves, k, window):
+            lemma._contract(moves, k, window, sliced, lead)
+        assert expand_signs(expand_first_swap(sliced, k, window), k,
+                            window) == _nonzero(want)
 
 
 @pytest.mark.parametrize("window", [0, 3, 6])
@@ -713,17 +740,14 @@ def _term_added(table):
     return {**table, (-1, -2): table.get((-1, -2), 0) + 1}
 
 
-@pytest.mark.parametrize("mutate", [
-    _first_term_plus_a_seventh, _first_term_negated, _term_added])
-@pytest.mark.parametrize("k,seeds", [(1, range(40)), (2, range(40)),
-                                     (3, range(8))])
-def test_patched_g_reports_match_the_product_loop(monkeypatch, mutate, k,
-                                                  seeds):
-    # one term of every table of g patched: the report is the plain
-    # product loop's first difference, or None where that has none
+def _assert_patched_reports_match_the_product_loop(monkeypatch, mutate,
+                                                   patched, k, seeds):
+    # one term of every table of the sides in ``patched`` changed: the report
+    # is the plain product loop's first difference, or None where that has
+    # none
     factor = lemma._factor
     monkeypatch.setattr(lemma, "_factor", lambda which, given, d, w: (
-        mutate(factor(which, given, d, w)) if which == "RHS"
+        mutate(factor(which, given, d, w)) if which in patched
         else factor(which, given, d, w)))
     broken = 0
     for seed in seeds:
@@ -738,6 +762,30 @@ def test_patched_g_reports_match_the_product_loop(monkeypatch, mutate, k,
             broken += 1
         assert first_lemma_difference(k, spec, 6) == want, seed
     assert broken
+
+
+_MUTANTS = [_first_term_plus_a_seventh, _first_term_negated, _term_added]
+_MUTANT_SEEDS = [(1, range(40)), (2, range(40)), (3, range(8))]
+
+
+@pytest.mark.parametrize("mutate", _MUTANTS)
+@pytest.mark.parametrize("k,seeds", _MUTANT_SEEDS)
+def test_patched_g_reports_match_the_product_loop(monkeypatch, mutate, k,
+                                                  seeds):
+    _assert_patched_reports_match_the_product_loop(monkeypatch, mutate,
+                                                   ("RHS",), k, seeds)
+
+
+@pytest.mark.parametrize("patched", [("LHS",), ("LHS", "RHS")],
+                         ids=["f", "f-and-g"])
+@pytest.mark.parametrize("mutate", _MUTANTS)
+@pytest.mark.parametrize("k,seeds", _MUTANT_SEEDS)
+def test_patched_f_reports_match_the_product_loop(monkeypatch, mutate, k,
+                                                  seeds, patched):
+    # f's tables patched, alone or with g's: LHS itself is changed, and the
+    # report reads it from f's pass over the same y_1 > x_1 slice
+    _assert_patched_reports_match_the_product_loop(monkeypatch, mutate,
+                                                   patched, k, seeds)
 
 
 @pytest.mark.parametrize("k,built", [(1, 2), (2, 3), (3, 3)])
@@ -800,7 +848,10 @@ def test_factors_built_once_per_side_and_direction(monkeypatch, k, calls):
 def test_k1_visits_only_the_slices_h_opens(monkeypatch):
     # at k = 1 the one factor leaves index 1 and closes the chain, so only
     # h (stage 0 -> 1) opens a kept chain: over the 20 specs `verify` checks
-    # by default, its leads give 40 slices, and f's would add 23 empty ones
+    # by default, its leads give 40 slices, and f's would add 23 empty ones.
+    # h's terms lie at exponents <= 0, so no y_1 digit exceeds the x_1
+    # exponent 0, and its 15 slices (one per spec whose h has terms) are
+    # left out too: 25 remain
     calls = []
     contract = lemma._contract
 
@@ -811,7 +862,48 @@ def test_k1_visits_only_the_slices_h_opens(monkeypatch):
     monkeypatch.setattr(lemma, "_contract", counted)
     for seed in range(20):
         assert first_lemma_difference(1, random_series_pair_spec(seed), 6) is None
-    assert len(calls) == 40
+    assert len(calls) == 25
+
+
+def _opening_digits(moves, k, window):
+    # every x_1 digit that a factor opening a kept chain places, whether or
+    # not a closing y_1 digit exceeds it
+    last = max(dst for _, dst, _ in moves)
+    top = (2 * window + 1) ** (2 * k - 1)
+    return {key // top for src, dst, walks in moves
+            if src == 0 and (k > 1 or dst == last)
+            for steps in walks.values()
+            for (j, _, _), groups in steps.items() if j == 0
+            for items in groups.values() for key, _ in items}
+
+
+def _assert_dropped_leads_are_empty(k, spec, window):
+    # a lead `_leads` leaves out contracts to an all-zero slice, and the
+    # pass over all 2^k sign vectors has no nonzero key with y_1 > x_1 there
+    _, folded = sides(k, spec, window)
+    _, signed = sides(k, spec, window, walks_all_signs)
+    dropped = 0
+    for moves, reference in zip(_passes(*folded), _passes(*signed)):
+        leads = lemma._leads(moves, k, window)
+        for lead in _opening_digits(moves, k, window) - set(leads):
+            dropped += 1
+            got, want = {}, {}
+            lemma._contract(moves, k, window, got, lead)
+            assert not _nonzero(got)
+            contract_all_signs(reference, k, window, want, lead)
+            assert all(y1 <= x1 for x1, y1 in (
+                _first_pair(key, k, window) for key in _nonzero(want)))
+    return dropped
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dropped_leads_contract_to_zero(k):
+    assert sum(_assert_dropped_leads_are_empty(
+        k, random_series_pair_spec(seed), 6) for seed in range(40))
+
+
+def test_dropped_leads_contract_to_zero_k4():
+    assert _assert_dropped_leads_are_empty(4, _spec(**SMALL_K4_SPEC), 6)
 
 
 def test_identity_k5_seeded():
