@@ -96,11 +96,13 @@ exact engine, `_contract`.
   prod eps_j is folded into the factors.  With eps_j = +1 for j >= 2, the
   factors still to come depend only on the visited set, the last index j,
   eps_1 and, through the fold, the digit a that the step entering j put in
-  j's slot.  So for each eps_1 the engine keeps one dict from partial key
-  to integer per state (visited set, j, a, stage; the stage is below), and
-  extends the sum of all chains reaching a state once, by the next factor;
-  closing multiplies by the factor back to index 1.  By distributivity
-  this equals the folded sum of the chain products, term for term.
+  j's slot.  So for each eps_1 the cycle-sum engine that `npoint` shares,
+  `chain.contract`, keeps one dict from partial key to integer per state
+  (visited set, j, stage, a; the stage is below, and a is the state's
+  label), and extends the sum of all chains reaching a state once, by the
+  next factor; closing multiplies by the factor back to index 1.  By
+  distributivity this equals the folded sum of the chain products, term
+  for term.  The lemma sets no key limits.
 * Telescoping.  Put h = f - 2g.  For the k factors of one chain,
 
       prod_i f_i - prod_i 2 g_i
@@ -179,6 +181,7 @@ from itertools import product
 from math import lcm
 from typing import Dict, Optional, Tuple
 
+from . import chain
 from .affine import AffineB
 
 ZERO = Fraction(0)
@@ -420,47 +423,29 @@ def _contract(moves, k: int, window: int, acc: Dict[int, int],
     last = max(dst for _, dst, _ in moves)
     top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
 
-    def factor(steps, step):
-        if lead is None or step[0]:
-            return steps[step]
-        # a group left empty would open states that carry nothing
-        return {b: kept for b, items in steps[step].items()
-                if (kept := [(key, c) for key, c in items
-                             if key // top == lead])}
+    def move(walk):
+        def step(j, a, j2):
+            groups = walk[j, a, j2]
+            if j and j2:
+                return groups
+            if lead is not None and not j:
+                # a group left empty would open states that carry nothing
+                groups = {b: kept for b, items in groups.items()
+                          if (kept := [(key, c) for key, c in items
+                                       if key // top == lead])}
+            if j2:
+                return groups
+            if lead is None:
+                return groups.values()
+            return [items for b, items in groups.items() if b > lead]
+        return step
 
     for e0 in (-1, 1):
-        layer = {(1, 0, None, 0): {0: 1}}
-        for _ in range(k - 1):
-            grown: dict = {}
-            for (seen, j, a, stage), partial in layer.items():
-                for src, dst, walks in moves:
-                    if src != stage:
-                        continue
-                    for j2 in range(1, k):
-                        if seen >> j2 & 1:
-                            continue
-                        for b, items in factor(walks[e0], (j, a, j2)).items():
-                            state = (seen | 1 << j2, j2, b, dst)
-                            _extend(grown.setdefault(state, {}), partial,
-                                    items)
-            layer = grown
-        for (_, j, a, stage), partial in layer.items():
-            for src, dst, walks in moves:
-                if src == stage and dst == last:
-                    for b, items in factor(walks[e0], (j, a, 0)).items():
-                        if lead is None or b > lead:
-                            _extend(acc, partial, items)
-
-
-def _extend(out: Dict[int, int], partial: Dict[int, int], factor) -> None:
-    # out += partial * factor: keys add, values multiply.
-    for fkey, c in factor:
-        for key, v in partial.items():
-            key += fkey
-            if key in out:
-                out[key] += v * c
-            else:
-                out[key] = v * c
+        # a state's label is the digit that the step entering its index
+        # placed (None at the start); the step to index 0 closes the chain
+        chain.contract(k, {(1, 0, 0, None): {0: 1}},
+                       [(src, dst, move(walks[e0]))
+                        for src, dst, walks in moves], acc, final=last)
 
 
 def _decode(key: int, k: int, window: int) -> tuple:

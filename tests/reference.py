@@ -8,6 +8,8 @@
   the walks of `walks_all_signs`, which the program's pass, folded by the
   flavor swaps, is held to through `expand_signs` (and its x_1 slices
   through `expand_first_swap` too).
+* The cycle sums one tail at a time: `cycle_column`, the per-tail subset DP
+  that the all-keys pass of `npoint.CycleSum` is held to, column by column.
 * Mode actions one at a time: `apply_mode_ops`, which `fock.two_mode` and
   the Hamiltonian images are held to.
 * The KP oracle: `tau_coefficients_kp`, the KP tau-function's coefficients
@@ -22,7 +24,7 @@ from bisect import insort
 from fractions import Fraction
 from itertools import product
 
-from bkpnpoint import lemma
+from bkpnpoint import chain, lemma
 from bkpnpoint.affine import bkp_terms, kp_terms
 from bkpnpoint.fock import (
     VACUUM,
@@ -154,6 +156,50 @@ def lemma_side(which, k, spec, window):
     return Series(2 * k, uniform_window(2 * k, -window, window), coeffs)
 
 
+# -- the cycle sums one tail at a time -----------------------------------------
+
+
+def cycle_column(series, tail) -> dict:
+    """The integer column ``{e_0: value}``, every ``e_0`` in ``[lo, -1]``,
+    of the cycle sum at ``eps = 1`` of a `npoint.CycleSum` over one tail
+    ``(e_1, ..., e_{n-1})``, before any scale or parity projection.
+
+    This is the subset DP `npoint.CycleSum` ran once per tail before it
+    computed whole regions in one pass.  A path ``0 -> ... -> j`` that
+    entered ``j`` with exponent ``q`` leaves ``j``'s outgoing factor owing
+    ``r = e_j - q``, and the steps still to come depend only on the state
+    (visited set, ``j``, ``r``).  Each state keeps the sum over every path
+    reaching it, split by vertex 0's outgoing exponent ``p_0``, and the
+    closing step ``j -> 0`` with a term ``(r, q_0)`` adds into the entry
+    ``e_0 = p_0 + q_0``."""
+    n, lo = series.nvars, series._lo
+    up, down = series._up, series._down
+    exps = (0, *tail)
+    owed = up.keys() | down.keys()
+    layer = {(1, 0, p0): {p0: 1} for p0 in up}
+    for _ in range(n - 1):
+        grown = {}
+        for (seen, j, r), part in layer.items():
+            for k in range(1, n):
+                if seen >> k & 1:
+                    continue
+                for q, c in (up if j < k else down).get(r, ()):
+                    owe = exps[k] - q
+                    if owe in owed:
+                        out = grown.setdefault((seen | 1 << k, k, owe), {})
+                        for p0, v in part.items():
+                            out[p0] = out.get(p0, 0) + v * c
+        layer = grown
+    column = {}
+    for (_, _, r), part in layer.items():
+        for q0, c in down.get(r, ()):
+            for p0, v in part.items():
+                e0 = p0 + q0
+                if lo <= e0 <= -1:
+                    column[e0] = column.get(e0, 0) + v * c
+    return column
+
+
 # -- the lemma contraction over all 2^k sign vectors ---------------------------
 
 
@@ -213,14 +259,14 @@ def contract_all_signs(moves, k: int, window: int, acc, lead=None) -> None:
                             continue
                         for e2 in (1, -1):
                             state = (seen | 1 << j2, j2, e2, dst)
-                            lemma._extend(grown.setdefault(state, {}), partial,
-                                          factor(walks[e0], (j, j2, ej, e2)))
+                            chain.extend(grown.setdefault(state, {}), partial,
+                                         factor(walks[e0], (j, j2, ej, e2)))
             layer = grown
         for (_, j, ej, stage), partial in layer.items():
             for src, dst, walks in moves:
                 if src == stage and dst == last:
-                    lemma._extend(acc, partial,
-                                  factor(walks[e0], (j, 0, ej, e0)))
+                    chain.extend(acc, partial,
+                                 factor(walks[e0], (j, 0, ej, e0)))
 
 
 def _insert(state, m2: int):

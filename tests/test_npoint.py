@@ -1,5 +1,7 @@
 """Closed cycle-sum formulas for connected n-point functions."""
 
+import ast
+import copy
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
@@ -16,12 +18,14 @@ from bkpnpoint.affine import (
 )
 from bkpnpoint.fock import (
     connected_table_from_log,
+    odd_tuples,
     oracle_npoint_table,
     poly_log,
 )
 from bkpnpoint.npoint import (
     MAX_CYCLE_WORK,
     FormulaComparison,
+    TableCheckError,
     _b_degree,
     _kp_degree,
     compare_formulas,
@@ -33,7 +37,13 @@ from bkpnpoint.npoint import (
 )
 from bkpnpoint.sampling import random_affine_b
 from bkpnpoint.series import KernelKind, Series, expand_kernel
-from reference import hat_bkp, hat_kp, place, tau_coefficients_kp
+from reference import (
+    cycle_column,
+    hat_bkp,
+    hat_kp,
+    place,
+    tau_coefficients_kp,
+)
 
 F = Fraction
 
@@ -284,6 +294,75 @@ def test_routes_equal_sign_sum_reference(route, seed, window_args):
         assert got.window == want.window
         # every point of the reference's negative box, so every term of it
         assert dict(_box_items(got)) == dict(_box_items(want))
+
+
+# route -> (series builder, index shift and index step of its table)
+TABLE_ROUTES = {
+    "embedded": (embedded_npoint_series, 1, 2),
+    "wangyang": (wangyang_npoint_series, 0, 2),
+    "kp": (lambda b, *args, **kw: kp_npoint(bkp_to_kp(b), *args, **kw), 1, 1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(TABLE_ROUTES))
+@pytest.mark.parametrize("window_args", [
+    {}, {"cap_scale": 2}, {"pos_cap": 0}, {"pos_cap": 1},
+])
+def test_all_keys_pass_matches_per_tail_columns(route, window_args):
+    # the one pass over the region npoint_table reads, against the per-tail
+    # subset DP run on every tail the table reads; the caps 0 and 1 are too
+    # small for some tables, which must not change the pass either
+    build, shift, step = TABLE_ROUTES[route]
+    for seed in range(20):
+        b = random_affine_b(seed)
+        for n in range(1, 6):
+            w = n + 2
+            series = build(b, n, w, **window_args)
+            cap = w + n * shift
+            parity = series._parity
+            tails = {tuple(-i - shift for i in key[1:])
+                     for key in odd_tuples(n, w, step)}
+            want, broken = {}, False
+            for tail in tails:
+                for e0, v in cycle_column(series, tail).items():
+                    if not v or -e0 - sum(tail) > cap:
+                        continue
+                    if parity is None or e0 % 2 == parity:
+                        want[(e0, *tail)] = v * series._scale
+                    elif series._head_checked:
+                        broken = True
+            if broken:
+                with pytest.raises(TableCheckError, match="parity violation"):
+                    series._region(cap)
+                continue
+            got = series._region(cap)
+            assert {exps: got[exps] for exps in got
+                    if exps[1:] in tails} == want, (seed, n)
+            # the weight limits drop nothing the region holds
+            if n <= 3:
+                unchecked = copy.copy(series)
+                unchecked._head_checked = False
+                whole = unchecked._region(None)
+                assert {exps: v for exps, v in whole.items()
+                        if -sum(exps) <= cap} == unchecked._region(cap)
+
+
+def test_head_parity_check_covers_the_table_region(monkeypatch):
+    # a wangyang down table with a nonzero term at an even e_0 inside the
+    # region npoint_table reads fails the table
+    b = random_affine_b(0)
+    bkp_factors = npoint._bkp_factors
+
+    def patched(*args):
+        up, down = bkp_factors(*args)
+        return up, {**down, (-1, -2): F(1)}
+
+    monkeypatch.setattr(npoint, "_bkp_factors", patched)
+    series = wangyang_npoint_series(b, 2, 5)
+    with pytest.raises(TableCheckError, match="parity violation") as error:
+        npoint_table(series, 2, 5, index_shift=0)
+    exps = ast.literal_eval(str(error.value).split(" at ")[1].split(":")[0])
+    assert exps[0] % 2 == 0 and -sum(exps) <= 5
 
 
 @pytest.mark.parametrize("seed, n, max_weight", [
