@@ -59,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     np_.add_argument("--format", choices=("json", "csv"), default="json")
     np_.add_argument("--out", help="output path (default stdout)")
     np_.add_argument("--window-cap", type=int,
-                     help="override the positive exponent cap of the factor tables")
+                     help="lower the positive exponent cap of the factor "
+                          "tables (a cap of max-weight + 2 or more changes "
+                          "nothing)")
     np_.set_defaults(func=cmd_npoint)
 
     ver = sub.add_parser(

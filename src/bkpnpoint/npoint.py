@@ -42,11 +42,13 @@ its table reads, else the whole box.  A read outside that simplex computes
 the box, once.
 
 Truncation policy: one exponent range ``(lo, hi)`` for every variable
-(`standard_window`): floor ``lo = -(max_weight + 2)``; positive cap
-``hi = max_weight + nvars * (max_degree + 2)`` where ``max_degree`` bounds
-the deepest coordinate exponent; `cap_scale` rescales the cap to certify
-that reported coefficients are truncation-stable.  Every factor keeps only
-the terms whose exponents (both of them) lie in ``[lo, hi]``.
+(`standard_window`), floor ``lo = -(max_weight + 2)`` and cap ``hi = -lo``;
+every factor keeps only the terms whose exponents (both of them) lie in
+``[lo, hi]``.  No larger cap changes a factor table: the coordinate terms
+and the constant ``-1/4`` have both exponents ``<= 0``, and a kernel term
+``(-1-k, k)`` (KP) or ``(-k, k)`` (hat BKP), either way round, passes the
+floor only when ``k <= -lo``.  So an explicit cap (``pos_cap``) is clamped
+to ``-lo``, and only a smaller one drops kernel terms.
 
 Factors.  A factor touches two variables, and for every route it depends
 only on whether its step goes up (``a < b``) or down (``a > b``), because
@@ -156,33 +158,22 @@ ZERO = Fraction(0)
 
 # Largest work estimate a closed-formula pass takes on (see the module
 # docstring).  On a loaded 2-core x86 machine under Python 3.11 the pass
-# gets through 1.9e8 estimated steps per second at worst, on one-key tables
-# at large n (wangyang at n = 15, max weight 15 on a one-entry instance:
-# 1.45e9 in 7.7 s), and through 5e8 to 1e10 on the tables and boxes of
-# denser instances, so a pass takes at most about ten seconds.
-MAX_CYCLE_WORK = 15 * 10**8
+# gets through 1.5e7 to 3.4e7 estimated steps per second at large n (wangyang
+# at n = 15, max weight 15 on a one-entry instance: 3.05e8 in 9.0 s; at
+# n = 14, max weight 15 on tests/golden/coords.json: 1.71e8 in 10.7 s), and
+# through 1e9 to 5e9 at n <= 6.  So those instances' passes take about ten
+# seconds at most, and one at the limit at the slowest rate about 23 s.
+MAX_CYCLE_WORK = 35 * 10**7
 
 
-def standard_window(
-    nvars: int, max_weight: int, max_degree: int, cap_scale: int = 1,
-    pos_cap: int | None = None,
-) -> tuple[int, int]:
+def standard_window(max_weight: int,
+                    pos_cap: int | None = None) -> tuple[int, int]:
     lo = -(max_weight + 2)
-    hi = pos_cap if pos_cap is not None else cap_scale * (
-        max_weight + nvars * (max_degree + 2)
-    )
-    if hi < 0:
+    if pos_cap is not None and pos_cap < 0:
         # the kernels' subordinate exponents start at 0
-        raise ValueError(f"positive exponent cap {hi} must be >= 0")
-    return lo, hi
-
-
-def _kp_degree(kp: AffineKP) -> int:
-    return max((max(m, n) + 1 for m, n in kp.entries), default=1)
-
-
-def _b_degree(b: AffineB) -> int:
-    return max(b.max_index, 1)
+        raise ValueError(f"positive exponent cap {pos_cap} must be >= 0")
+    # no term passes the floor with a subordinate exponent above -lo
+    return lo, -lo if pos_cap is None else min(pos_cap, -lo)
 
 
 # -- cost limit ----------------------------------------------------------------
@@ -391,13 +382,12 @@ def kp_npoint(
     n: int,
     max_weight: int,
     *,
-    cap_scale: int = 1,
     pos_cap: int | None = None,
 ) -> CycleSum:
     """KP connected n-point series, ``n >= 1``, on the all-negative box."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo, hi = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
+    lo, hi = standard_window(max_weight, pos_cap)
     _check_work(n, lo, hi, len(kp.entries), None, max_weight + n)
     factors = _kp_factors(kp, n, lo, hi)
     return CycleSum(n, lo, factors, (-1) ** (n - 1), None)
@@ -408,14 +398,13 @@ def embedded_npoint_series(
     n: int,
     max_weight: int,
     *,
-    cap_scale: int = 1,
     pos_cap: int | None = None,
 ) -> CycleSum:
     """BKP n-point series through the KP embedding (sign-flip average)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     kp = bkp_to_kp(b)
-    lo, hi = standard_window(n, max_weight, _kp_degree(kp), cap_scale, pos_cap)
+    lo, hi = standard_window(max_weight, pos_cap)
     _check_work(n, lo, hi, len(kp.entries), 0, max_weight + n)
     factors = _kp_factors(kp, n, lo, hi)
     return CycleSum(n, lo, factors, Fraction((-1) ** (n - 1), 2), 0)
@@ -426,13 +415,12 @@ def wangyang_npoint_series(
     n: int,
     max_weight: int,
     *,
-    cap_scale: int = 1,
     pos_cap: int | None = None,
 ) -> CycleSum:
     """BKP n-point series from the intrinsic neutral-fermion cycle sum."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo, hi = standard_window(n, max_weight, _b_degree(b), cap_scale, pos_cap)
+    lo, hi = standard_window(max_weight, pos_cap)
     _check_work(n, lo, hi, len(b.entries), 1, max_weight)
     factors = _bkp_factors(b, n, lo, hi)
     return CycleSum(n, lo, factors, -(2 ** (n - 1)), 1, head_checked=True)
@@ -497,9 +485,7 @@ class FormulaComparison:
     first_difference: tuple | None
 
 
-def compare_formulas(
-    b: AffineB, n: int, max_weight: int, *, cap_scale: int = 1
-) -> FormulaComparison:
+def compare_formulas(b: AffineB, n: int, max_weight: int) -> FormulaComparison:
     """Compute both BKP routes, their tables, and the raw series relation."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -507,13 +493,12 @@ def compare_formulas(
     # Off its all-odd points both sides vanish by parity, so only those are
     # read.  They reach outside the tables' regions, so each route computes
     # its whole box, read first: the tables come from the same pass.
-    kp = bkp_to_kp(b)
-    for degree, entries, parity in ((_kp_degree(kp), len(kp.entries), 0),
-                                    (_b_degree(b), len(b.entries), 1)):
-        lo, hi = standard_window(n, max_weight, degree, cap_scale)
+    lo, hi = standard_window(max_weight)
+    for entries, parity in ((len(bkp_to_kp(b).entries), 0),
+                            (len(b.entries), 1)):
         _check_work(n, lo, hi, entries, parity, None)
-    emb = embedded_npoint_series(b, n, max_weight, cap_scale=cap_scale)
-    wy = wangyang_npoint_series(b, n, max_weight, cap_scale=cap_scale)
+    emb = embedded_npoint_series(b, n, max_weight)
+    wy = wangyang_npoint_series(b, n, max_weight)
     odd = range(-1, -(max_weight + 2), -2)
     raw = all(
         wy.coefficient(exps) == emb.coefficient(tuple(e - 1 for e in exps))

@@ -97,14 +97,19 @@ def test_criterion_8_worked_one_point():
 
 
 def test_criterion_9_truncation_certification():
-    # a doubled positive cap reproduces every entry, and the oracle's tau at
-    # weight 11, cut back to weight 7, is its tau at weight 7
+    # each closed route's table at weight 13 (floor 4 lower, kernels 4
+    # longer), cut back to weight 9, is its table at weight 9, and the
+    # oracle's tau at weight 11, cut back to weight 7, is its tau at weight 7
     for b in instances():
         for n in (1, 2, 3):
             base = compare_formulas(b, n, 9)
-            doubled = compare_formulas(b, n, 9, cap_scale=2)
-            assert base.table_embedded == doubled.table_embedded, (b, n)
-            assert base.table_wangyang == doubled.table_wangyang, (b, n)
+            for table, route, shift in (
+                    (base.table_embedded, embedded_npoint_series, 1),
+                    (base.table_wangyang, wangyang_npoint_series, 0)):
+                longer = npoint_table(route(b, n, 13), n, 13,
+                                      index_shift=shift)
+                assert table == {
+                    k: v for k, v in longer.items() if sum(k) <= 9}, (b, n)
         higher = tau_coefficients_bkp(b, 11)
         assert tau_coefficients_bkp(b, 7) == {
             k: v for k, v in higher.items() if sum(k) <= 7}, b

@@ -146,6 +146,17 @@ def test_npoint_too_small_cap_is_one_error_line(capsys, cap):
         "error: table not symmetric at (1, 3): (-3, -1) differs\n")
 
 
+def test_npoint_cap_above_the_floor_changes_nothing(capsys):
+    # a cap of max-weight + 2 or more is clamped to it, so a huge one is
+    # neither refused by the work estimate nor changes a byte
+    argv = ["npoint", "--coords", GOLDEN_COORDS, "--n", "2",
+            "--max-weight", "7"]
+    assert main(argv) == 0
+    default = capsys.readouterr()
+    assert main(argv + ["--window-cap", "100000"]) == 0
+    assert capsys.readouterr() == default
+
+
 def test_npoint_other_arithmetic_errors_propagate(monkeypatch,
                                                   one_entry_coords):
     def divide(*args, **kwargs):

@@ -26,8 +26,6 @@ from bkpnpoint.npoint import (
     MAX_CYCLE_WORK,
     FormulaComparison,
     TableCheckError,
-    _b_degree,
-    _kp_degree,
     compare_formulas,
     embedded_npoint_series,
     kp_npoint,
@@ -150,21 +148,50 @@ def test_formulas_agree_and_match_oracle_random():
 
 
 def test_doubled_cap_reproduces_tables():
+    # a floor 4 lower and kernels 4 longer change no entry of weight <= 9
     b = random_affine_b(2)
-    base = compare_formulas(b, 2, 6)
-    wide = compare_formulas(b, 2, 6, cap_scale=2)
-    assert base.table_embedded == wide.table_embedded
-    assert base.table_wangyang == wide.table_wangyang
+    base = compare_formulas(b, 2, 9)
+    for table, route, shift in (
+            (base.table_embedded, embedded_npoint_series, 1),
+            (base.table_wangyang, wangyang_npoint_series, 0)):
+        longer = npoint_table(route(b, 2, 13), 2, 13, index_shift=shift)
+        assert table == {k: v for k, v in longer.items() if sum(k) <= 9}
 
 
 def test_window_cap_override():
     b = random_affine_b(2)
+    assert standard_window(6) == (-8, 8)
+    # a cap above -lo is clamped, a smaller one kept
+    assert standard_window(6, 15) == (-8, 8)
+    assert standard_window(6, 3) == (-8, 3)
     s1 = wangyang_npoint_series(b, 2, 6)
-    cap = standard_window(2, 6, max(b.max_index, 1))[1]
-    s2 = wangyang_npoint_series(b, 2, 6, pos_cap=cap + 7)
+    s2 = wangyang_npoint_series(b, 2, 6, pos_cap=15)
     assert npoint_table(s1, 2, 6, index_shift=0) == npoint_table(
         s2, 2, 6, index_shift=0
     )
+
+
+def test_caps_from_minus_lo_on_change_no_factor_table():
+    # coordinate terms have both exponents <= 0, and a kernel term
+    # (-1-k, k) or (-k, k) passes the floor lo only when k <= -lo: so every
+    # cap from -lo on, the old default w + n * (max_degree + 2) among them,
+    # gives the same factor tables
+    for seed in range(21):
+        b = random_affine_b(seed, max_index=1 + seed % 7)
+        kp = bkp_to_kp(b)
+        kp_degree = max((max(m, k) + 1 for m, k in kp.entries), default=1)
+        for n in range(1, 7):
+            for w in sorted({n, n + 1, 9, 2 * n + 5, 21}):
+                lo, hi = standard_window(w)
+                assert hi == -lo
+                for factors, point, degree in (
+                        (npoint._kp_factors, kp, kp_degree),
+                        (npoint._bkp_factors, b, max(b.max_index, 1))):
+                    old = w + n * (degree + 2)
+                    want = factors(point, n, lo, hi)
+                    for cap in (hi + 1, 2 * hi, old, 2 * old):
+                        assert factors(point, n, lo, cap) == want, (
+                            seed, n, w, cap)
 
 
 def test_series_parity():
@@ -229,14 +256,15 @@ def test_orderings_are_the_distinct_permutations_in_order():
 def _sign_sum_reference(route, b, n, max_weight, **window_args):
     """Either BKP route as the literal sum over cycles and sign vectors.
 
-    ``route`` is ``"embedded"`` or ``"wangyang"``; ``window_args`` are passed
-    to `standard_window`.  Each cycle product is clipped to the all-negative
+    ``route`` is ``"embedded"`` or ``"wangyang"``; a ``pos_cap`` in
+    ``window_args`` is taken as the positive cap as it is, where the routes
+    clamp it to ``-lo``.  Each cycle product is clipped to the all-negative
     box only at the end, which is exact because every variable's exponent is
     final once both of its factors are in.
     """
     kp = bkp_to_kp(b)
-    degree = _kp_degree(kp) if route == "embedded" else _b_degree(b)
-    lo, hi = standard_window(n, max_weight, degree, **window_args)
+    lo, hi = standard_window(max_weight)
+    hi = window_args.get("pos_cap", hi)
     window = ((lo, hi),) * n
     box = {v: (lo, -1) for v in range(n)}
 
@@ -282,8 +310,10 @@ ROUTES = {
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("seed, window_args", [
     (0, {}), (3, {}), (5, {}), (8, {}),
-    (2, {"cap_scale": 2}),
-    # caps below the standard one: the projection is exact for every window
+    # caps above -lo = 9 (18 and 12), which the routes clamp and the
+    # reference takes as they are, and one below it (3): the projection is
+    # exact for every window
+    (2, {"pos_cap": 18}),
     (1, {"pos_cap": 3}), (1, {"pos_cap": 12}),
 ])
 def test_routes_equal_sign_sum_reference(route, seed, window_args):
@@ -306,7 +336,7 @@ TABLE_ROUTES = {
 
 @pytest.mark.parametrize("route", sorted(TABLE_ROUTES))
 @pytest.mark.parametrize("window_args", [
-    {}, {"cap_scale": 2}, {"pos_cap": 0}, {"pos_cap": 1},
+    {}, {"pos_cap": 3}, {"pos_cap": 0}, {"pos_cap": 1},
 ])
 def test_all_keys_pass_matches_per_tail_columns(route, window_args):
     # the one pass over the region npoint_table reads, against the per-tail
