@@ -31,26 +31,64 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-@dataclass(frozen=True, eq=True)
-class AffineB:
+class Frozen:
+    """A value type with the fields named in ``__slots__``: set once by the
+    constructor, by position or keyword, equal when the type and every field
+    are, and shown as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        given = [*names[:len(args)], *kwargs]
+        if len(args) > len(names) or sorted(given) != sorted(names):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(names)}")
+        for name, value in zip(given, (*args, *kwargs.values())):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
+
+class AffineB(Frozen):
     """Antisymmetric BKP affine coordinates, both triangles stored."""
 
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries=None):
+        super().__init__({} if entries is None else entries)
 
     @property
     def max_index(self) -> int:
         return max((max(k) for k in self.entries), default=0)
 
 
-@dataclass(frozen=True, eq=True)
-class AffineKP:
+class AffineKP(Frozen):
     """KP affine coordinates ``a_{m,n}``."""
 
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries=None):
+        super().__init__({} if entries is None else entries)
 
 
 def validate_b(items) -> AffineB:

@@ -27,10 +27,8 @@ their smallest key and each group's items in increasing key order, so
 that a step stops at the first product over the limit.
 """
 
-from typing import Dict
 
-
-def contract(size: int, layer: dict, moves, acc: Dict[int, int],
+def contract(size: int, layer: dict, moves, acc: dict[int, int],
              limits=None, final=None) -> None:
     """Add the chains from the start ``layer``
     ``{(visited, 0, stage, label): partial}`` into ``acc``."""
@@ -62,7 +60,7 @@ def contract(size: int, layer: dict, moves, acc: Dict[int, int],
         layer = grown
 
 
-def extend(out: Dict[int, int], partial: Dict[int, int], items,
+def extend(out: dict[int, int], partial: dict[int, int], items,
            limit=None) -> None:
     # out += partial * items: keys add, values multiply.  With a limit, only
     # the keys below it, and ``partial`` must list its keys in increasing

@@ -8,31 +8,19 @@ coordinates as the KP coordinates of the squared tau-function.
 Exit codes: 0 success, 1 mathematical disagreement, 2 input error.
 Output is deterministic: identical arguments produce byte-identical
 files (JSON with sorted keys, rationals rendered as "p/q" strings).
+
+Each command or check imports the layers it calls when it runs, so a
+process loads only what its subcommand needs (``convert`` never loads the
+cycle sums, the Fock space or the lemma), and every call reads the
+defining module's binding, which is what a patched or traced binding
+replaces.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 from functools import partial
-
-from .affine import bkp_to_kp, check_gs_relation, dump_affine_kp, load_affine_b
-from .fock import (
-    check_square_relation,
-    check_state_equality,
-    oracle_npoint_table,
-)
-from .lemma import first_lemma_difference, instantiate_from_affine
-from .npoint import (
-    TableCheckError,
-    compare_formulas,
-    embedded_npoint_series,
-    first_difference,
-    npoint_table,
-    wangyang_npoint_series,
-)
-from .sampling import random_affine_b, random_series_pair_spec
+from importlib import import_module
 
 SCHEMA_VERSION = 1
 
@@ -114,6 +102,9 @@ def _emit(doc: dict, args) -> None:
 
 
 def _to_csv(doc: dict) -> str:
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if doc["command"] == "npoint":
@@ -139,6 +130,11 @@ def _table_records(table: dict) -> list:
 
 
 def cmd_npoint(args) -> int:
+    from .affine import load_affine_b
+    from .fock import oracle_npoint_table
+    from .npoint import (embedded_npoint_series, first_difference,
+                         npoint_table, wangyang_npoint_series)
+
     if args.n < 1:
         raise ValueError("n must be >= 1")
     if args.max_weight < args.n:
@@ -176,7 +172,11 @@ def cmd_npoint(args) -> int:
 
 def _seeded_coords(args, count: int):
     if args.coords:
+        from .affine import load_affine_b
+
         return [("file", load_affine_b(args.coords))]
+    from .sampling import random_affine_b
+
     return [
         (args.seed + i, random_affine_b(args.seed + i)) for i in range(count)
     ]
@@ -188,12 +188,14 @@ def _default(value, default):
 
 def _check_instances(name, args):
     """A boolean check of one size on each instance: gs, square or state."""
-    # looked up per call, so that patched or traced bindings are used
-    check, label, size, count = {
-        "gs": (check_gs_relation, "depth", 8, 20),
-        "square": (check_square_relation, "max_weight", 8, 5),
-        "state": (check_state_equality, "cutoff", 8, 5),
+    # imported per call, so that only the check's layer loads and patched or
+    # traced bindings are used
+    module, function, label, size, count = {
+        "gs": ("affine", "check_gs_relation", "depth", 8, 20),
+        "square": ("fock", "check_square_relation", "max_weight", 8, 5),
+        "state": ("fock", "check_state_equality", "cutoff", 8, 5),
     }[name]
+    check = getattr(import_module(f".{module}", __package__), function)
     size = _default(args.max_weight, size)
     instances = _seeded_coords(args, _default(args.count, count))
     params = {label: size, "instances": len(instances)}
@@ -209,6 +211,8 @@ def _formula_sizes(args):
 
 
 def _check_formulas(args):
+    from .npoint import compare_formulas
+
     weight, ns = _formula_sizes(args)
     instances = _seeded_coords(args, _default(args.count, 10))
     params = {"max_weight": weight, "n": list(ns),
@@ -230,11 +234,16 @@ def _check_formulas(args):
 
 
 def _check_lemma(args):
+    from .affine import load_affine_b
+    from .lemma import first_lemma_difference, instantiate_from_affine
+
     window = _default(args.window, 6)
     ks = (1, 2, 3) if args.k is None else (args.k,)
     if args.coords:
         specs = [("file", instantiate_from_affine(load_affine_b(args.coords)))]
     else:
+        from .sampling import random_series_pair_spec
+
         specs = [
             (args.seed + i, random_series_pair_spec(args.seed + i))
             for i in range(_default(args.count, 20))
@@ -301,6 +310,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from .affine import bkp_to_kp, dump_affine_kp, load_affine_b
+
     kp = bkp_to_kp(load_affine_b(args.coords))
     _write(dump_affine_kp(kp), args.out)
     return 0
@@ -313,7 +324,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TableCheckError as exc:
+    except ArithmeticError as exc:
+        # a TableCheckError comes from npoint, so none is raised before it
+        # loads
+        npoint = sys.modules.get(f"{__package__}.npoint")
+        if npoint is None or not isinstance(exc, npoint.TableCheckError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

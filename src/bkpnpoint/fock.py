@@ -98,11 +98,10 @@ powers can drop every longer monomial as they are formed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 
-from .affine import AffineB, AffineKP, bkp_to_kp
+from .affine import AffineB, AffineKP, Frozen, bkp_to_kp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -251,9 +250,10 @@ class TruncationOverflow(RuntimeError):
     """exp() iteration failed to terminate within the energy budget."""
 
 
-@dataclass
-class FockVector:
-    coeffs: dict
+class FockVector(Frozen):
+    """An energy-truncated Fock vector ``{state: coefficient}``."""
+
+    __slots__ = ("coeffs",)
 
 
 def _apply_terms(terms, vec: dict, cutoff: int, kernel, energy) -> dict:

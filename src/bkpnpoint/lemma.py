@@ -80,8 +80,9 @@ exact engine, `_contract`.
   x_j < y_j for j >= 2, and the slices keep x_1 < y_1 (see Slices), since
   eps_1 keeps both its signs.  In D_+ the step
   entering j places one digit a of j's pair and the step leaving j the
-  other, u; `_walks` folds the leaving step's items once for each a: an
-  item with u = a is dropped (S_j fixes it, so 1 - S_j cancels it), one
+  other, u; `_walks` folds the leaving step's items once for each a that
+  a state reaches it with, when that state first reads them: an item
+  with u = a is dropped (S_j fixes it, so 1 - S_j cancels it), one
   that leaves x_j < y_j is kept, and any other has both digits moved to
   the swapped slots and is negated.  Such an item's key holds negative
   digit offsets (it moves the a that the partial key holds), so a digit is
@@ -157,14 +158,15 @@ exact engine, `_contract`.
 
 `first_lemma_difference` builds the tables of f, h and 2g once per kernel
 direction and the folded walks of those its moves read (f and h at k = 1,
-where h ends every kept chain), contracts LHS - 2^k RHS one slice at a
-time in the telescoped pass and stops at the first slice that is not all
-zero; so it never holds the whole difference.  It decodes that slice's
-smallest nonzero key and contracts the slice once more with f alone, to
-read LHS there; LHS is odd under the swaps too, so the folded pass gives
-it at a canonical key, and the y_1 filter only drops keys.  2^k RHS is
-LHS minus the difference, exactly, since the pass equals LHS - 2^k RHS by
-the telescoping algebra alone.
+where h ends every kept chain), each step of a walk when a state first
+reads it (a state reaches only some of the digits a).  It contracts
+LHS - 2^k RHS one slice at a time in the telescoped pass and stops at the
+first slice that is not all zero; so it never holds the whole difference.
+It decodes that slice's smallest nonzero key and contracts the slice once
+more with f alone, to read LHS there; LHS is odd under the swaps too, so
+the folded pass gives it at a canonical key, and the y_1 filter only drops
+keys.  2^k RHS is LHS minus the difference, exactly, since the pass equals
+LHS - 2^k RHS by the telescoping algebra alone.
 
 Cost limit.  Before any factor is built, one factor's terms are bounded from
 the spec: the kernel pieces lie on the anti-diagonal e_a + e_b = 0 (at most
@@ -175,20 +177,17 @@ products of the plain enumeration with F terms per factor, exceeds
 `MAX_LEMMA_PRODUCTS`; that estimate alone bounds k.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Dict, Optional, Tuple
 
 from . import chain
-from .affine import AffineB
+from .affine import AffineB, Frozen
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SeriesPairSpec:
+class SeriesPairSpec(Frozen):
     """Finite-support pair (s, t) with s stored on the m < n triangle.
 
     ``s_entries[(m, n)]`` (1 <= m < n) is the coefficient of
@@ -196,8 +195,7 @@ class SeriesPairSpec:
     is the coefficient of x^{-m} in t(x).
     """
 
-    s_entries: dict
-    t_entries: dict
+    __slots__ = ("s_entries", "t_entries")
 
     @property
     def max_index(self) -> int:
@@ -213,7 +211,7 @@ def validate_pair_spec(s_entries, t_entries) -> SeriesPairSpec:
     Nonzero diagonal entries, indices < 1 and conflicting duplicates are
     rejected.
     """
-    folded: Dict[Tuple[int, int], Fraction] = {}
+    folded: dict[tuple[int, int], Fraction] = {}
     for key, raw in dict(s_entries or {}).items():
         m, n = key
         if isinstance(m, bool) or isinstance(n, bool):
@@ -229,7 +227,7 @@ def validate_pair_spec(s_entries, t_entries) -> SeriesPairSpec:
         if slot in folded and folded[slot] != signed:
             raise ValueError(f"conflicting s entries for pair {slot!r}")
         folded[slot] = signed
-    t_clean: Dict[int, Fraction] = {}
+    t_clean: dict[int, Fraction] = {}
     for m, raw in dict(t_entries or {}).items():
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ValueError(f"bad t index {m!r}")
@@ -241,13 +239,13 @@ def validate_pair_spec(s_entries, t_entries) -> SeriesPairSpec:
 
 
 def _factor(which: str, spec: SeriesPairSpec, d: int,
-            window: int) -> Dict[Tuple[int, int], Fraction]:
+            window: int) -> dict[tuple[int, int], Fraction]:
     """f(a, b) for "LHS", g(a, b) for "RHS", as ``{(p, q): coefficient}``
     with p the exponent of ``a`` and q that of ``b``, on the box
     |p|, |q| <= window, for the kernel direction ``d`` (see the module
     docstring)."""
     is_f = which == "LHS"
-    terms: Dict[Tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], Fraction] = {}
 
     def put(p, q, c):
         if p >= -window and q >= -window:
@@ -330,14 +328,45 @@ def _tables(k: int, spec: SeriesPairSpec, window: int):
     return lcm(*map(_denominator, tables)), tables
 
 
+class _Steps(dict):
+    """The folded steps of one walk, ``{(j, a, j2): {b: items}}`` (see
+    `_walks`), each built when a state first reads it.  ``terms[j, j2]``
+    are the step's terms before the fold: ``(u, b, the key with u in j's
+    leaving slot, the key with u in j's entering slot instead, the
+    integer)``, and ``swaps[j]`` is ``(by_y, moved)``: whether j leaves by
+    y_j, which makes (a, u) canonical when a < u, and the weight of j's
+    leaving slot less that of its entering one."""
+
+    def __init__(self, terms: dict, swaps: list):
+        super().__init__()
+        self.terms, self.swaps = terms, swaps
+
+    def __missing__(self, step):
+        j, a, j2 = step
+        by_y, moved = self.swaps[j]
+        # a is in the partial key already; the swap moves it to j's leaving
+        # slot
+        shift = a * moved if j else 0
+        groups: dict[int, list] = {}
+        for u, b, kept, swapped, c in self.terms[j, j2]:
+            if u == a:
+                continue  # the pair (a, a) is odd under its swap
+            if j == 0 or (a < u) == by_y:
+                groups.setdefault(b, []).append((kept, c))
+            else:
+                groups.setdefault(b, []).append((swapped + shift, -c))
+        self[step] = groups
+        return groups
+
+
 def _walks(tables, k: int, window: int, common: int):
     """The factors of one table set ``{direction: table}`` (see `_factor`)
     as lists of (box key, integer) items over ``common``, folded by the
     flavor swaps and arranged as the two walks of `_contract`:
-    ``{eps_1: {(j, a, j2): {b: items}}}``.  From index j, whose entering
-    step put the digit ``a`` in its slot (None at index 0, the first), a
-    chain steps to j2 by ``items``, which put the digit ``b`` in j2's slot
-    (y_1's when j2 is 0, closing the chain)."""
+    ``{eps_1: {(j, a, j2): {b: items}}}``, each walk a `_Steps`.  From
+    index j, whose entering step put the digit ``a`` in its slot (None at
+    index 0, the first), a chain steps to j2 by ``items``, which put the
+    digit ``b`` in j2's slot (y_1's when j2 is 0, closing the chain)."""
     base = 2 * window + 1
     weight = [base ** (2 * k - 1 - p) for p in range(2 * k)]
     ints = {d: [(p + window, q + window,
@@ -352,7 +381,9 @@ def _walks(tables, k: int, window: int, common: int):
         # y_j in the backward one
         enter = [1] + [2 * j + (e0 > 0) for j in range(1, k)]
         leave = [0] + [2 * j + (e0 < 0) for j in range(1, k)]
-        steps = {}
+        swaps = [(leave[j] % 2 == 1, weight[leave[j]] - weight[enter[j]])
+                 for j in range(k)]
+        terms = {}
         for j, j2 in product(range(k), repeat=2):
             if j == j2 and k > 1:
                 continue
@@ -364,54 +395,41 @@ def _walks(tables, k: int, window: int, common: int):
                 uvc = [(p, q, -c if j2 == 0 else c) for p, q, c in ints[d]]
             else:
                 uvc = [(q, p, c) for p, q, c in ints[-d]]
-            # then (u, v, the key with u in j's leaving slot, the key with u
-            # in j's entering slot instead, the integer); v, the digit put in
-            # j2's slot (y_1's on closing), keys the groups
+            # v, the digit put in j2's slot (y_1's on closing), keys the
+            # groups
             wl, we, wn = weight[leave[j]], weight[enter[j]], weight[enter[j2]]
-            terms = [(u, v, u * wl + v * wn, u * we + v * wn, c)
-                     for u, v, c in uvc]
-            by_y = leave[j] % 2 == 1  # then (a, u) is canonical when a < u
-            for a in (None,) if j == 0 else range(base):
-                # a is in the partial key already; the swap moves it to j's
-                # leaving slot
-                shift = a * (wl - we) if j else 0
-                groups: Dict[int, list] = {}
-                for u, b, kept, swapped, c in terms:
-                    if u == a:
-                        continue  # the pair (a, a) is odd under its swap
-                    if j == 0 or (a < u) == by_y:
-                        groups.setdefault(b, []).append((kept, c))
-                    else:
-                        groups.setdefault(b, []).append((swapped + shift, -c))
-                steps[j, a, j2] = groups
-        walks[e0] = steps
+            terms[j, j2] = [(u, v, u * wl + v * wn, u * we + v * wn, c)
+                            for u, v, c in uvc]
+        walks[e0] = _Steps(terms, swaps)
     return walks
 
 
-def _leads(moves, k: int, window: int) -> list:
+def _leads(moves, k: int) -> list:
     """The x_1 digits, in increasing order, of the factors that can open a
     kept chain of ``moves`` (see `_contract`): they leave index 1 from
     stage 0, and at k = 1, where that factor closes the chain, they end at
     the last stage.  A digit no closing factor's y_1 digit exceeds is left
-    out: its slice is empty."""
+    out: its slice is empty.  Both are read off the terms before the fold,
+    so no step is built: the fold keeps every term that leaves index 1,
+    and drops one that leaves another index only at the one digit a equal
+    to its own, so at a positive window some a keeps it (at window 0 every
+    digit is 0, and no lead is below that)."""
     last = max(dst for _, dst, _ in moves)
-    top = (2 * window + 1) ** (2 * k - 1)  # the weight of x_1's digit
     # the largest y_1 digit a factor closing a kept chain places
     y1 = max((b for _, dst, walks in moves if dst == last
               for steps in walks.values()
-              for (_, _, j2), groups in steps.items() if j2 == 0
-              for b in groups), default=0)
-    leads = {key // top for src, dst, walks in moves
+              for (_, j2), terms in steps.terms.items() if j2 == 0
+              for _, b, *_ in terms), default=0)
+    leads = {u for src, dst, walks in moves
              if src == 0 and (k > 1 or dst == last)
              for steps in walks.values()
-             for (j, _, _), groups in steps.items() if j == 0
-             for items in groups.values()
-             for key, _ in items}
+             for (j, _), terms in steps.terms.items() if j == 0
+             for u, *_ in terms}
     return sorted(lead for lead in leads if lead < y1)
 
 
-def _contract(moves, k: int, window: int, acc: Dict[int, int],
-              lead: Optional[int] = None) -> None:
+def _contract(moves, k: int, window: int, acc: dict[int, int],
+              lead: int | None = None) -> None:
     """Add ``common^k`` times the chains of ``moves`` into ``acc``, keyed by
     canonical box keys (see the module docstring).  ``moves`` lists
     ``(src, dst, walks)`` with walks from `_walks`: a step from stage
@@ -464,7 +482,7 @@ def check_lemma(k: int, spec: SeriesPairSpec, window: int = 6) -> bool:
 
 def first_lemma_difference(
     k: int, spec: SeriesPairSpec, window: int = 6
-) -> Optional[Tuple[tuple, Fraction, Fraction]]:
+) -> tuple[tuple, Fraction, Fraction] | None:
     """Smallest differing monomial between the two sides, or None.
 
     The difference is contracted in one telescoped pass and dropped one
@@ -477,13 +495,13 @@ def first_lemma_difference(
     stages = ((0, 0), (0, 1), (1, 1)) if k > 1 else ((0, 0), (0, 1))
     moves = [(src, dst, _walks(table, k, window, common))
              for (src, dst), table in zip(stages, tables)]
-    for lead in _leads(moves, k, window):
-        acc: Dict[int, int] = {}
+    for lead in _leads(moves, k):
+        acc: dict[int, int] = {}
         _contract(moves, k, window, acc, lead)
         first = min((key for key, v in acc.items() if v), default=None)
         if first is not None:
             # this slice again with f alone; 2^k RHS is LHS - the difference
-            lhs_acc: Dict[int, int] = {}
+            lhs_acc: dict[int, int] = {}
             _contract(moves[:1], k, window, lhs_acc, lead)
             lhs_value = lhs_acc.get(first, 0)
             den = common ** k

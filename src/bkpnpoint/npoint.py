@@ -144,13 +144,12 @@ is built.  The Fock-space oracle has no such limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, lcm
 
-from .affine import AffineB, AffineKP, bkp_terms, bkp_to_kp, kp_terms
+from .affine import AffineB, AffineKP, Frozen, bkp_terms, bkp_to_kp, kp_terms
 from .chain import contract
 from .fock import odd_tuples
 
@@ -474,15 +473,13 @@ def first_difference(tables: dict) -> tuple | None:
     return None
 
 
-@dataclass(frozen=True)
-class FormulaComparison:
-    n: int
-    max_weight: int
-    table_embedded: dict
-    table_wangyang: dict
-    tables_agree: bool
-    raw_relation_holds: bool
-    first_difference: tuple | None
+class FormulaComparison(Frozen):
+    """What `compare_formulas` found at ``(n, max_weight)``: both routes'
+    tables, whether they agree, whether the raw series relation holds, and
+    the first differing entry ``(key, embedded, wangyang)`` or None."""
+
+    __slots__ = ("n", "max_weight", "table_embedded", "table_wangyang",
+                 "tables_agree", "raw_relation_holds", "first_difference")
 
 
 def compare_formulas(b: AffineB, n: int, max_weight: int) -> FormulaComparison:

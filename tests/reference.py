@@ -8,6 +8,10 @@
   the walks of `walks_all_signs`, which the program's pass, folded by the
   flavor swaps, is held to through `expand_signs` (and its x_1 slices
   through `expand_first_swap` too).
+* The lemma walks built in full: `walks_eager` builds every folded step
+  for every digit, and `leads_eager` reads its slices off those steps;
+  the program builds a step only when a state first reads it, and is held
+  to these step for step.
 * The cycle sums one tail at a time: `cycle_column`, the per-tail subset DP
   that the all-keys pass of `npoint.CycleSum` is held to, column by column.
 * Mode actions one at a time: `apply_mode_ops`, which `fock.two_mode` and
@@ -267,6 +271,69 @@ def contract_all_signs(moves, k: int, window: int, acc, lead=None) -> None:
                 if src == stage and dst == last:
                     chain.extend(acc, partial,
                                  factor(walks[e0], (j, 0, ej, e0)))
+
+
+# -- the lemma walks built in full --------------------------------------------
+
+
+def walks_eager(tables, k: int, window: int, common: int):
+    """`lemma._walks` with every folded step ``(j, a, j2)`` built up front,
+    for all 2W + 1 digits ``a``, as plain dicts."""
+    base = 2 * window + 1
+    weight = [base ** (2 * k - 1 - p) for p in range(2 * k)]
+    ints = {d: [(p + window, q + window,
+                 c.numerator * (common // c.denominator))
+                for (p, q), c in table.items()]
+            for d, table in tables.items()}
+    walks = {}
+    for e0 in (-1, 1):
+        enter = [1] + [2 * j + (e0 > 0) for j in range(1, k)]
+        leave = [0] + [2 * j + (e0 < 0) for j in range(1, k)]
+        steps = {}
+        for j, j2 in product(range(k), repeat=2):
+            if j == j2 and k > 1:
+                continue
+            d = 0 if j == j2 else 1 if j < j2 else -1
+            if e0 < 0:
+                uvc = [(p, q, -c if j2 == 0 else c) for p, q, c in ints[d]]
+            else:
+                uvc = [(q, p, c) for p, q, c in ints[-d]]
+            wl, we, wn = weight[leave[j]], weight[enter[j]], weight[enter[j2]]
+            terms = [(u, v, u * wl + v * wn, u * we + v * wn, c)
+                     for u, v, c in uvc]
+            by_y = leave[j] % 2 == 1
+            for a in (None,) if j == 0 else range(base):
+                shift = a * (wl - we) if j else 0
+                groups = {}
+                for u, b, kept, swapped, c in terms:
+                    if u == a:
+                        continue
+                    if j == 0 or (a < u) == by_y:
+                        groups.setdefault(b, []).append((kept, c))
+                    else:
+                        groups.setdefault(b, []).append((swapped + shift, -c))
+                steps[j, a, j2] = groups
+        walks[e0] = steps
+    return walks
+
+
+def leads_eager(moves, k: int, window: int) -> list:
+    """`lemma._leads` read off the built steps of `walks_eager`: the x_1
+    digits of the factors that open a kept chain, below the largest y_1
+    digit of a closing factor's groups."""
+    last = max(dst for _, dst, _ in moves)
+    top = (2 * window + 1) ** (2 * k - 1)
+    y1 = max((b for _, dst, walks in moves if dst == last
+              for steps in walks.values()
+              for (_, _, j2), groups in steps.items() if j2 == 0
+              for b in groups), default=0)
+    leads = {key // top for src, dst, walks in moves
+             if src == 0 and (k > 1 or dst == last)
+             for steps in walks.values()
+             for (j, _, _), groups in steps.items() if j == 0
+             for items in groups.values()
+             for key, _ in items}
+    return sorted(lead for lead in leads if lead < y1)
 
 
 def _insert(state, m2: int):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bkpnpoint import cli, lemma, npoint
+from bkpnpoint import affine, cli, fock, lemma, npoint
 from bkpnpoint.cli import main
 from bkpnpoint.sampling import random_series_pair_spec
 from reference import lemma_side
@@ -162,7 +162,7 @@ def test_npoint_other_arithmetic_errors_propagate(monkeypatch,
     def divide(*args, **kwargs):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(cli, "npoint_table", divide)
+    monkeypatch.setattr(npoint, "npoint_table", divide)
     with pytest.raises(ZeroDivisionError):
         main(["npoint", "--coords", one_entry_coords, "--n", "1",
               "--max-weight", "3"])
@@ -183,7 +183,7 @@ def test_npoint_disagreement_exit_code(capsys, one_entry_coords, monkeypatch):
     def tampered(b, n, max_weight):
         return {(1,): Fraction(-1), (3,): Fraction(99), (5,): Fraction(0)}
 
-    monkeypatch.setattr(cli, "oracle_npoint_table", tampered)
+    monkeypatch.setattr(fock, "oracle_npoint_table", tampered)
     code, doc = run_json(capsys, [
         "npoint", "--coords", one_entry_coords, "--n", "1",
         "--max-weight", "5",
@@ -265,7 +265,7 @@ def test_verify_suite_small(capsys):
 
 
 def test_verify_failure_reported(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_gs_relation", lambda b, depth: False)
+    monkeypatch.setattr(affine, "check_gs_relation", lambda b, depth: False)
     code, doc = run_json(capsys, [
         "verify", "--check", "gs", "--count", "2",
     ])
@@ -280,7 +280,7 @@ def test_verify_formulas_failure_names_entry(capsys, monkeypatch):
             n, max_weight, {}, {}, False, True,
             ((1, 1), Fraction(0), Fraction(1, 3)))
 
-    monkeypatch.setattr(cli, "compare_formulas", tampered)
+    monkeypatch.setattr(npoint, "compare_formulas", tampered)
     code, doc = run_json(capsys, [
         "verify", "--check", "formulas", "--count", "1", "--n", "2",
     ])
@@ -380,10 +380,12 @@ def test_verify_refuses_bad_sizes_before_any_check(capsys, monkeypatch, argv):
     def run(*args):
         raise AssertionError("a check ran")
 
-    for name in ("check_gs_relation", "check_square_relation",
-                 "check_state_equality", "compare_formulas",
-                 "first_lemma_difference"):
-        monkeypatch.setattr(cli, name, run)
+    for module, name in ((affine, "check_gs_relation"),
+                         (fock, "check_square_relation"),
+                         (fock, "check_state_equality"),
+                         (npoint, "compare_formulas"),
+                         (lemma, "first_lemma_difference")):
+        monkeypatch.setattr(module, name, run)
     assert main(["verify"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -440,3 +442,42 @@ def test_cli_paths_load_no_series():
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def _modules_loaded_by(argv):
+    """The modules that ``import bkpnpoint`` and then, unless ``argv`` is
+    None, one CLI call on ``argv`` load in a fresh interpreter."""
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import bkpnpoint\n"
+        + ("" if argv is None else
+           "from bkpnpoint import cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           f"    assert cli.main({argv!r}) == 0\n")
+        + "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_each_command_loads_only_its_layers():
+    def layers(*names):
+        return {f"bkpnpoint.{name}" for name in names}
+
+    loaded = _modules_loaded_by(None)
+    assert not [m for m in loaded if m.startswith("bkpnpoint.")], loaded
+    loaded = _modules_loaded_by(["convert", "--coords", GOLDEN_COORDS])
+    assert not loaded & (layers("npoint", "fock", "lemma", "chain",
+                                "sampling", "series")
+                         | {"dataclasses", "inspect"}), loaded
+    loaded = _modules_loaded_by(["npoint", "--coords", GOLDEN_COORDS, "--n",
+                                 "2", "--max-weight", "9", "--formula", "all"])
+    assert not loaded & layers("lemma", "sampling", "series"), loaded
+    loaded = _modules_loaded_by(["verify", "--check", "lemma", "--k", "2",
+                                 "--count", "1"])
+    assert not loaded & layers("fock", "npoint", "series"), loaded

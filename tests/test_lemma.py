@@ -23,10 +23,12 @@ from reference import (
     expand_first_swap,
     expand_signs,
     factor,
+    leads_eager,
     lemma_side,
     position,
     sides,
     walks_all_signs,
+    walks_eager,
 )
 
 F = Fraction
@@ -494,22 +496,33 @@ def test_first_difference_when_identity_broken(monkeypatch, k, window, spec,
     assert not check_lemma(k, spec, window)
 
 
+class _TripledOpenings(dict):
+    # a copy of a walk's steps, each taken when first read, with every term
+    # of a step that leaves index 1 tripled
+    def __init__(self, steps):
+        super().__init__()
+        self.steps = steps
+
+    def __missing__(self, step):
+        groups = self.steps[step]
+        if step[0] == 0:
+            groups = {b: [(key, 3 * c) for key, c in items]
+                      for b, items in groups.items()}
+        self[step] = groups
+        return groups
+
+
 def _triple_2g_openings(monkeypatch):
     # every term of 2g's factors that leave index 1 tripled, in both walks,
     # in copies handed to every contraction; 2g's walks are those of the
     # stage 1 -> 1 move, which k = 1 does not have
     contract = lemma._contract
 
-    def tripled_openings(walks):
-        return {e0: {step: {b: [(key, 3 * c) for key, c in items]
-                            for b, items in groups.items()}
-                     if step[0] == 0 else groups
-                     for step, groups in steps.items()}
-                for e0, steps in walks.items()}
-
     def tripled(moves, *args):
-        contract([(src, dst, tripled_openings(walks) if src == dst == 1
-                   else walks) for src, dst, walks in moves], *args)
+        contract([(src, dst, {e0: _TripledOpenings(steps)
+                              for e0, steps in walks.items()}
+                   if src == dst == 1 else walks)
+                  for src, dst, walks in moves], *args)
 
     monkeypatch.setattr(lemma, "_contract", tripled)
 
@@ -539,7 +552,7 @@ def test_first_difference_past_the_smallest_slice(monkeypatch):
     spec = _spec(s={(1, 2): F(1)}, t={3: F(1)})
     other = _spec(s={(1, 2): F(2)}, t={3: F(1)})
     _, walk_sets = sides(1, spec, 6)
-    assert lemma._leads(_telescoped(*walk_sets), 1, 6)[0] - 6 == -3
+    assert lemma._leads(_telescoped(*walk_sets), 1)[0] - 6 == -3
     _break_g(monkeypatch, other)
     assert first_lemma_difference(1, spec, 6)[0][0] > -3
 
@@ -635,7 +648,7 @@ def test_slices_partition_the_unsliced_difference(monkeypatch, k):
                     upper[key] = v
             assert expand_first_swap(upper, k, window) == _nonzero(whole)
             sliced = {}
-            leads = lemma._leads(moves, k, window)
+            leads = lemma._leads(moves, k)
             for lead in leads:
                 part = {}
                 lemma._contract(moves, k, window, part, lead)
@@ -708,7 +721,7 @@ def _assert_folded_pass_matches_all_signs(k, spec, window):
         contract_all_signs(reference, k, window, want)
         assert expand_signs(got, k, window) == _nonzero(want)
         sliced = {}
-        for lead in lemma._leads(moves, k, window):
+        for lead in lemma._leads(moves, k):
             lemma._contract(moves, k, window, sliced, lead)
         assert expand_signs(expand_first_swap(sliced, k, window), k,
                             window) == _nonzero(want)
@@ -804,6 +817,42 @@ def test_walks_built_once_per_move(monkeypatch, k, built):
     assert len(made) == built
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_steps_read_equal_the_eager_build(monkeypatch, k):
+    # `_walks` builds each folded step when a state first reads it: over the
+    # 20 specs `verify` checks by default, every step the check reads equals
+    # the one built up front for all 2W + 1 digits, the slices read off the
+    # terms before the fold are those read off the built steps, and some
+    # steps are never built
+    made = []
+    walks = lemma._walks
+
+    def kept(*args):
+        made.append((args, walks(*args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(lemma, "_walks", kept)
+    stages = ((0, 0), (0, 1), (1, 1))
+    read = built = 0
+    for seed in range(20):
+        made.clear()
+        assert first_lemma_difference(k, random_series_pair_spec(seed),
+                                      6) is None
+        lazy, eager = [], []
+        for stage, (args, got) in zip(stages, made):
+            full = walks_eager(*args)
+            for e0, steps in got.items():
+                for step, groups in steps.items():
+                    assert groups == full[e0][step]
+                read += len(steps)
+                built += len(full[e0])
+            lazy.append((*stage, got))
+            eager.append((*stage, full))
+        for moves, reference in ((lazy, eager), (lazy[:1], eager[:1])):
+            assert lemma._leads(moves, k) == leads_eager(reference, k, 6)
+    assert 0 < read < built
+
+
 @pytest.mark.parametrize("window", [0, 3, 6])
 def test_f_minus_2g_is_the_t_product(window):
     # the s terms and, at d = +-1, the kernels cancel in h = f - 2g, which
@@ -873,8 +922,8 @@ def _opening_digits(moves, k, window):
     return {key // top for src, dst, walks in moves
             if src == 0 and (k > 1 or dst == last)
             for steps in walks.values()
-            for (j, _, _), groups in steps.items() if j == 0
-            for items in groups.values() for key, _ in items}
+            for j2 in (range(1, k) if k > 1 else (0,))
+            for items in steps[0, None, j2].values() for key, _ in items}
 
 
 def _assert_dropped_leads_are_empty(k, spec, window):
@@ -884,7 +933,7 @@ def _assert_dropped_leads_are_empty(k, spec, window):
     _, signed = sides(k, spec, window, walks_all_signs)
     dropped = 0
     for moves, reference in zip(_passes(*folded), _passes(*signed)):
-        leads = lemma._leads(moves, k, window)
+        leads = lemma._leads(moves, k)
         for lead in _opening_digits(moves, k, window) - set(leads):
             dropped += 1
             got, want = {}, {}
