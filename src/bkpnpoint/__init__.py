@@ -16,7 +16,7 @@ _SOURCES = {
     "fock": ("FockVector", "TruncationOverflow", "check_square_relation",
              "check_state_equality", "oracle_npoint_table"),
     "lemma": ("SeriesPairSpec", "check_lemma"),
-    "npoint": ("FormulaComparison", "WindowError", "compare_formulas",
+    "npoint": ("FormulaComparison", "compare_formulas",
                "embedded_npoint_series", "kp_npoint", "npoint_table",
                "wangyang_npoint_series"),
     "sampling": ("random_affine_b", "random_series_pair_spec"),

@@ -46,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="all", help="route(s) to compute (default all)")
     np_.add_argument("--format", choices=("json", "csv"), default="json")
     np_.add_argument("--out", help="output path (default stdout)")
-    np_.add_argument("--window-cap", type=int,
-                     help="lower the positive exponent cap of the factor "
-                          "tables (a cap of max-weight + 2 or more changes "
-                          "nothing)")
     np_.set_defaults(func=cmd_npoint)
 
     ver = sub.add_parser(
@@ -143,10 +139,10 @@ def cmd_npoint(args) -> int:
     n, weight = args.n, args.max_weight
     tables = {}
     if args.formula in ("wangyang", "all"):
-        series = wangyang_npoint_series(b, n, weight, pos_cap=args.window_cap)
+        series = wangyang_npoint_series(b, n, weight)
         tables["wangyang"] = npoint_table(series, n, weight, index_shift=0)
     if args.formula in ("embedded", "all"):
-        series = embedded_npoint_series(b, n, weight, pos_cap=args.window_cap)
+        series = embedded_npoint_series(b, n, weight)
         tables["embedded"] = npoint_table(series, n, weight, index_shift=1)
     if args.formula in ("oracle", "all"):
         tables["oracle"] = oracle_npoint_table(b, n, weight)

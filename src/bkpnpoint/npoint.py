@@ -34,21 +34,20 @@ Three routes to the same numbers:
 The two BKP routes are related by ``wangyang = (z_1 ... z_n) * embedded`` as
 raw series on the all-negative-exponent box.
 
-Each route returns a `CycleSum`: a lazy view of its series on the
-all-negative box ``[lo, -1]^n``.  Its first read computes, in one pass,
-every coefficient of a region: the keys of total weight
-``sum_v (-e_v) <= cap`` when `npoint_table` has bounded it to the simplex
-its table reads, else the whole box.  A read outside that simplex computes
-the box, once.
+Each route returns a `CycleSum`, the series on the all-negative box
+``[lo, -1]^n``.  `CycleSum.region(cap)` computes, in one pass and with
+nothing kept, every nonzero coefficient of total weight
+``sum_v (-e_v) <= cap`` (of the whole box for ``cap=None``): `npoint_table`
+reads the simplex of its table, `compare_formulas` the box of each route.
 
 Truncation policy: one exponent range ``(lo, hi)`` for every variable
 (`standard_window`), floor ``lo = -(max_weight + 2)`` and cap ``hi = -lo``;
 every factor keeps only the terms whose exponents (both of them) lie in
-``[lo, hi]``.  No larger cap changes a factor table: the coordinate terms
-and the constant ``-1/4`` have both exponents ``<= 0``, and a kernel term
-``(-1-k, k)`` (KP) or ``(-k, k)`` (hat BKP), either way round, passes the
-floor only when ``k <= -lo``.  So an explicit cap (``pos_cap``) is clamped
-to ``-lo``, and only a smaller one drops kernel terms.
+``[lo, hi]``.  No larger cap would change a factor table: the coordinate
+terms and the constant ``-1/4`` have both exponents ``<= 0``, and a kernel
+term ``(-1-k, k)`` (KP) or ``(-k, k)`` (hat BKP), either way round, passes
+the floor only when ``k <= -lo``.  So the window follows from the weight
+alone, and `standard_window` is the one place it is stated.
 
 Factors.  A factor touches two variables, and for every route it depends
 only on whether its step goes up (``a < b``) or down (``a > b``), because
@@ -124,22 +123,24 @@ exact for every window.
 Checks.  wangyang does not project variable 0: every key of the region a
 pass computes is checked, and a nonzero entry at an even ``e_0`` raises
 `TableCheckError` (a truncation window that is too small shows up this
-way).  `npoint_table` asserts the permutation symmetry of every table,
-reading every ordering of each key (they lie in the same region), and
-raises the same error.  `first_difference` finds the smallest key where
-the tables of two or more routes differ, for `compare_formulas` and for the
-``npoint`` command.
+way).  Every table read (`npoint_table`, and both tables of
+`compare_formulas`) asserts the permutation symmetry of the table, reading
+every ordering of each key (they lie in the same region), and raises the
+same error.  `first_difference` finds the smallest key where the tables of
+two or more routes differ, for `compare_formulas` and for the ``npoint``
+command.
 
 Cost limit.  A pass visits at most ``2^{n-1} (n-1) (hi - lo + 1)`` states
 and extends each by at most one factor's terms, ``hi - lo + 2`` plus the
 number of coordinate entries, for each of its partial keys; a partial key
 holds ``p_0`` and the finished exponents, so there are at most about as
 many as the tails ``(e_1, ..., e_{n-1})`` of the region.  The product of
-the three is the work estimate (0 for n = 1, which is never refused).  The
-routes estimate the simplex that `npoint_table` reads from them and
-`compare_formulas` the box of each route, and they refuse, with
+the three is the work estimate (0 for n = 1, which is never refused).  A
+route estimates the simplex of the table that `npoint_table` reads from
+it, and `compare_formulas` the box of each route; each refuses, with
 ``ValueError``, an estimate above `MAX_CYCLE_WORK`, before any factor table
-is built.  The Fock-space oracle has no such limit.
+is built.  `region` itself makes no estimate.  The Fock-space oracle has no
+such limit.
 """
 
 from __future__ import annotations
@@ -165,14 +166,10 @@ ZERO = Fraction(0)
 MAX_CYCLE_WORK = 35 * 10**7
 
 
-def standard_window(max_weight: int,
-                    pos_cap: int | None = None) -> tuple[int, int]:
+def standard_window(max_weight: int) -> tuple[int, int]:
     lo = -(max_weight + 2)
-    if pos_cap is not None and pos_cap < 0:
-        # the kernels' subordinate exponents start at 0
-        raise ValueError(f"positive exponent cap {pos_cap} must be >= 0")
     # no term passes the floor with a subordinate exponent above -lo
-    return lo, -lo if pos_cap is None else min(pos_cap, -lo)
+    return lo, -lo
 
 
 # -- cost limit ----------------------------------------------------------------
@@ -257,10 +254,6 @@ def _rows(table: dict, den: int) -> dict:
 # -- the cycle sums ------------------------------------------------------------
 
 
-class WindowError(KeyError):
-    """A coefficient was requested outside the truncation window."""
-
-
 class TableCheckError(ArithmeticError):
     """A table failed its own check (head parity or permutation symmetry):
     the truncation window is too small."""
@@ -280,36 +273,17 @@ class CycleSum:
     def __init__(self, nvars: int, lo: int, factors: tuple, scale,
                  parity: int | None, head_checked: bool = False):
         self.nvars = nvars
-        self.window = ((lo, -1),) * nvars
         self._lo = lo
         den = lcm(1, *(c.denominator for t in factors for c in t.values()))
         self._up, self._down = (_rows(t, den) for t in factors)
         self._scale = Fraction(scale) / den ** nvars
         self._parity = parity
         self._head_checked = head_checked
-        # the region: every key of total weight <= _cap (None: the box)
-        self._cap = None
-        self._values = None
 
-    def coefficient(self, exps) -> Fraction:
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ValueError("exponent arity mismatch")
-        if not all(self._lo <= e <= -1 for e in exps):
-            raise WindowError(f"exponent {exps} outside window {self.window}")
-        want = self._parity
-        if want is not None and any(e % 2 != want for e in exps[1:]):
-            return ZERO
-        if self._cap is not None and -sum(exps) > self._cap:
-            self._cap = self._values = None  # outside the simplex: the box
-        if self._values is None:
-            self._values = self._region(self._cap)
-        return self._values.get(exps, ZERO)
-
-    def _region(self, cap: int | None) -> dict:
-        """``{exps: coefficient}`` of every key of total weight ``<= cap``
-        (every key of the box for ``None``), in one engine pass: see the
-        module docstring."""
+    def region(self, cap: int | None = None) -> dict:
+        """``{exps: coefficient}`` of every nonzero coefficient of total
+        weight ``<= cap`` (of the whole box for ``None``), in one engine
+        pass: see the module docstring."""
         n, lo, want = self.nvars, self._lo, self._parity
         up, down = self._up, self._down
         ends = {e for e in range(lo, 0) if want is None or e % 2 == want}
@@ -376,50 +350,32 @@ class CycleSum:
         return values
 
 
-def kp_npoint(
-    kp: AffineKP,
-    n: int,
-    max_weight: int,
-    *,
-    pos_cap: int | None = None,
-) -> CycleSum:
+def kp_npoint(kp: AffineKP, n: int, max_weight: int) -> CycleSum:
     """KP connected n-point series, ``n >= 1``, on the all-negative box."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo, hi = standard_window(max_weight, pos_cap)
+    lo, hi = standard_window(max_weight)
     _check_work(n, lo, hi, len(kp.entries), None, max_weight + n)
     factors = _kp_factors(kp, n, lo, hi)
     return CycleSum(n, lo, factors, (-1) ** (n - 1), None)
 
 
-def embedded_npoint_series(
-    b: AffineB,
-    n: int,
-    max_weight: int,
-    *,
-    pos_cap: int | None = None,
-) -> CycleSum:
+def embedded_npoint_series(b: AffineB, n: int, max_weight: int) -> CycleSum:
     """BKP n-point series through the KP embedding (sign-flip average)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     kp = bkp_to_kp(b)
-    lo, hi = standard_window(max_weight, pos_cap)
+    lo, hi = standard_window(max_weight)
     _check_work(n, lo, hi, len(kp.entries), 0, max_weight + n)
     factors = _kp_factors(kp, n, lo, hi)
     return CycleSum(n, lo, factors, Fraction((-1) ** (n - 1), 2), 0)
 
 
-def wangyang_npoint_series(
-    b: AffineB,
-    n: int,
-    max_weight: int,
-    *,
-    pos_cap: int | None = None,
-) -> CycleSum:
+def wangyang_npoint_series(b: AffineB, n: int, max_weight: int) -> CycleSum:
     """BKP n-point series from the intrinsic neutral-fermion cycle sum."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo, hi = standard_window(max_weight, pos_cap)
+    lo, hi = standard_window(max_weight)
     _check_work(n, lo, hi, len(b.entries), 1, max_weight)
     factors = _bkp_factors(b, n, lo, hi)
     return CycleSum(n, lo, factors, -(2 ** (n - 1)), 1, head_checked=True)
@@ -428,21 +384,25 @@ def wangyang_npoint_series(
 # -- tables ------------------------------------------------------------------
 
 
-def npoint_table(series, n: int, max_weight: int, *, index_shift: int,
-                 odd_only: bool = True) -> dict:
-    """Read the n-point values off a series (anything with ``coefficient``):
-    ``key -> coeff`` at ``exps = (-i_1 - shift, ...)``; asserts permutation
-    symmetry."""
+def npoint_table(series: CycleSum, n: int, max_weight: int, *,
+                 index_shift: int, odd_only: bool = True) -> dict:
+    """Read the n-point values off a series: ``key -> coeff`` at ``exps =
+    (-i_1 - shift, ...)``; asserts permutation symmetry."""
     step = 2 if odd_only else 1
-    if isinstance(series, CycleSum) and series._values is None:
-        # compute only the simplex the table reads: up to its largest key
-        series._cap = max_weight - (max_weight - n) % step + n * index_shift
+    # the simplex the table reads: up to its largest key
+    cap = max_weight - (max_weight - n) % step + n * index_shift
+    return _table(series.region(cap), n, max_weight, index_shift, step)
+
+
+def _table(values: dict, n: int, max_weight: int, shift: int,
+           step: int) -> dict:
+    """The table of `npoint_table` read off ``{exps: coefficient}``."""
     out: dict = {}
     for key in odd_tuples(n, max_weight, step):
-        exps = tuple(-i - index_shift for i in key)
-        value = series.coefficient(exps)
+        exps = tuple(-i - shift for i in key)
+        value = values.get(exps, ZERO)
         for perm in _orderings(exps):
-            if series.coefficient(perm) != value:
+            if values.get(perm, ZERO) != value:
                 raise TableCheckError(
                     f"table not symmetric at {key}: {perm} differs"
                 )
@@ -489,20 +449,20 @@ def compare_formulas(b: AffineB, n: int, max_weight: int) -> FormulaComparison:
     # wangyang == (z_1 ... z_n) * embedded is compared on [-(w+1), -1]^n.
     # Off its all-odd points both sides vanish by parity, so only those are
     # read.  They reach outside the tables' regions, so each route computes
-    # its whole box, read first: the tables come from the same pass.
+    # its whole box, and the tables are read from it too.
     lo, hi = standard_window(max_weight)
     for entries, parity in ((len(bkp_to_kp(b).entries), 0),
                             (len(b.entries), 1)):
         _check_work(n, lo, hi, entries, parity, None)
-    emb = embedded_npoint_series(b, n, max_weight)
-    wy = wangyang_npoint_series(b, n, max_weight)
+    emb = embedded_npoint_series(b, n, max_weight).region()
+    wy = wangyang_npoint_series(b, n, max_weight).region()
     odd = range(-1, -(max_weight + 2), -2)
     raw = all(
-        wy.coefficient(exps) == emb.coefficient(tuple(e - 1 for e in exps))
+        wy.get(exps, ZERO) == emb.get(tuple(e - 1 for e in exps), ZERO)
         for exps in product(odd, repeat=n)
     )
-    t_emb = npoint_table(emb, n, max_weight, index_shift=1)
-    t_wy = npoint_table(wy, n, max_weight, index_shift=0)
+    t_emb = _table(emb, n, max_weight, 1, 2)
+    t_wy = _table(wy, n, max_weight, 0, 2)
     first = first_difference({"embedded": t_emb, "wangyang": t_wy})
     return FormulaComparison(n, max_weight, t_emb, t_wy, first is None, raw,
                              first)

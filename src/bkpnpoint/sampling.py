@@ -11,7 +11,6 @@ from fractions import Fraction
 from random import Random
 
 from .affine import AffineB, validate_b
-from .lemma import SeriesPairSpec, validate_pair_spec
 
 # Bound on the numerator and denominator of every drawn value.
 MAX_HEIGHT = 9
@@ -54,12 +53,15 @@ def random_fraction(rng: Random) -> Fraction:
     return Fraction(num, den)
 
 
-def random_series_pair_spec(seed: int) -> SeriesPairSpec:
+def random_series_pair_spec(seed: int) -> lemma.SeriesPairSpec:
     """Random (s, t) pair with indices ``<= SPEC_MAX_INDEX`` and at most
     ``SPEC_MAX_ENTRIES`` entries per part.
 
     The result always has at least one nonzero entry.
     """
+    # loaded here, so that drawing coordinates does not load the lemma
+    from . import lemma
+
     rng = Random(seed)
     pairs = [(m, n) for m in range(1, SPEC_MAX_INDEX + 1)
              for n in range(m + 1, SPEC_MAX_INDEX + 1)]
@@ -78,4 +80,4 @@ def random_series_pair_spec(seed: int) -> SeriesPairSpec:
     if not s_entries and not t_entries:
         t_entries[rng.randint(1, SPEC_MAX_INDEX)] = Fraction(
             rng.randint(1, MAX_HEIGHT))
-    return validate_pair_spec(s_entries, t_entries)
+    return lemma.validate_pair_spec(s_entries, t_entries)

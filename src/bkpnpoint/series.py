@@ -24,11 +24,13 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .npoint import WindowError
-
 ZERO = Fraction(0)
 
 Window = tuple[tuple[int, int], ...]
+
+
+class WindowError(KeyError):
+    """A coefficient was requested outside the truncation window."""
 
 
 class DivergentPairingError(ValueError):

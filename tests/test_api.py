@@ -15,7 +15,6 @@ README_API = [
     "FormulaComparison",
     "SeriesPairSpec",
     "TruncationOverflow",
-    "WindowError",
     "bkp_to_kp",
     "check_gs_relation",
     "check_lemma",

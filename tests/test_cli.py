@@ -64,13 +64,17 @@ def test_npoint_zero_coords_all_routes(capsys, tmp_path):
 
 
 def test_npoint_single_route_and_window_cap(capsys, one_entry_coords):
-    code, doc = run_json(capsys, [
-        "npoint", "--coords", one_entry_coords, "--n", "2",
-        "--max-weight", "5", "--formula", "wangyang", "--window-cap", "40",
-    ])
+    argv = ["npoint", "--coords", one_entry_coords, "--n", "2",
+            "--max-weight", "5", "--formula", "wangyang"]
+    code, doc = run_json(capsys, argv)
     assert code == 0
     assert list(doc["tables"]) == ["wangyang"]
     assert doc["agree"] is True
+    # the window follows from the weight: there is no cap to set
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--window-cap", "4"])
+    assert err.value.code == 2
+    capsys.readouterr()
 
 
 def test_npoint_csv_output(capsys, one_entry_coords):
@@ -132,29 +136,6 @@ def test_npoint_large_n_refused_up_front(capsys, one_entry_coords, monkeypatch):
 
 GOLDEN_COORDS = str(
     Path(__file__).resolve().parent / "golden" / "coords.json")
-
-
-@pytest.mark.parametrize("cap", ["0", "1"])
-def test_npoint_too_small_cap_is_one_error_line(capsys, cap):
-    # the table fails its own symmetry check: exit 1, one line, no output
-    code = main(["npoint", "--coords", GOLDEN_COORDS, "--n", "2",
-                 "--max-weight", "7", "--window-cap", cap])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == (
-        "error: table not symmetric at (1, 3): (-3, -1) differs\n")
-
-
-def test_npoint_cap_above_the_floor_changes_nothing(capsys):
-    # a cap of max-weight + 2 or more is clamped to it, so a huge one is
-    # neither refused by the work estimate nor changes a byte
-    argv = ["npoint", "--coords", GOLDEN_COORDS, "--n", "2",
-            "--max-weight", "7"]
-    assert main(argv) == 0
-    default = capsys.readouterr()
-    assert main(argv + ["--window-cap", "100000"]) == 0
-    assert capsys.readouterr() == default
 
 
 def test_npoint_other_arithmetic_errors_propagate(monkeypatch,
@@ -481,3 +462,9 @@ def test_each_command_loads_only_its_layers():
     loaded = _modules_loaded_by(["verify", "--check", "lemma", "--k", "2",
                                  "--count", "1"])
     assert not loaded & layers("fock", "npoint", "series"), loaded
+    loaded = _modules_loaded_by(["verify", "--check", "gs", "--count", "1"])
+    assert not loaded & layers("lemma", "chain", "fock", "npoint",
+                               "series"), loaded
+    loaded = _modules_loaded_by(["verify", "--check", "formulas", "--n", "2",
+                                 "--count", "1"])
+    assert not loaded & layers("lemma", "series"), loaded

@@ -31,7 +31,7 @@ CASES = {
                        "--max-weight", "9", "--formula", "all"],
     "npoint-n1-embedded-cap4.csv": [
         "npoint", "--coords", "coords.json", "--n", "1", "--max-weight", "9",
-        "--formula", "embedded", "--format", "csv", "--window-cap", "4"],
+        "--formula", "embedded", "--format", "csv"],
     "convert.json": ["convert", "--coords", "coords.json"],
 }
 

@@ -5,6 +5,7 @@ import copy
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from bkpnpoint.affine import (
     bkp_to_kp,
     validate_b,
 )
+from bkpnpoint.cli import main
 from bkpnpoint.fock import (
     connected_table_from_log,
     odd_tuples,
@@ -75,8 +77,6 @@ def test_argument_validation():
         embedded_npoint_series(AffineB(), 0, 4)
     with pytest.raises(ValueError):
         wangyang_npoint_series(AffineB(), 0, 4)
-    with pytest.raises(ValueError, match="cap"):
-        embedded_npoint_series(AffineB(), 3, 4, pos_cap=-1)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -89,23 +89,23 @@ def test_every_bkp_route_refuses_n_below_1(n):
             route(b, n, 7)
 
 
-def _box_items(series):
-    """``(exps, coefficient)`` at every point of the series' window, which
-    is the all-negative box."""
-    for exps in product(*(range(lo, hi + 1) for lo, hi in series.window)):
-        yield exps, series.coefficient(exps)
+def _patch_cap(monkeypatch, hi):
+    """Make every route build its factor tables with the positive cap
+    ``hi`` in place of ``-lo``."""
+    window = npoint.standard_window
+    monkeypatch.setattr(npoint, "standard_window",
+                        lambda max_weight: (window(max_weight)[0], hi))
 
 
 def test_trivial_coordinates_give_zero_tables():
-    # in particular the n=2 delta-kernel cancellation is exact
+    # in particular the n=2 delta-kernel cancellation is exact; a region
+    # holds only the nonzero coefficients
     triv = AffineB()
-    assert not any(c for _, c in _box_items(kp_npoint(AffineKP(), 2, 7)))
+    assert kp_npoint(AffineKP(), 2, 7).region() == {}
     for n in (1, 2, 3, 4):
         w = 7 if n < 4 else 5
         for route in (embedded_npoint_series, wangyang_npoint_series):
-            series = route(triv, n, w)
-            assert series.window == ((-(w + 2), -1),) * n
-            assert not any(c for _, c in _box_items(series))
+            assert route(triv, n, w).region() == {}
 
 
 def test_one_point_tables_frozen():
@@ -158,19 +158,6 @@ def test_doubled_cap_reproduces_tables():
         assert table == {k: v for k, v in longer.items() if sum(k) <= 9}
 
 
-def test_window_cap_override():
-    b = random_affine_b(2)
-    assert standard_window(6) == (-8, 8)
-    # a cap above -lo is clamped, a smaller one kept
-    assert standard_window(6, 15) == (-8, 8)
-    assert standard_window(6, 3) == (-8, 3)
-    s1 = wangyang_npoint_series(b, 2, 6)
-    s2 = wangyang_npoint_series(b, 2, 6, pos_cap=15)
-    assert npoint_table(s1, 2, 6, index_shift=0) == npoint_table(
-        s2, 2, 6, index_shift=0
-    )
-
-
 def test_caps_from_minus_lo_on_change_no_factor_table():
     # coordinate terms have both exponents <= 0, and a kernel term
     # (-1-k, k) or (-k, k) passes the floor lo only when k <= -lo: so every
@@ -197,22 +184,22 @@ def test_caps_from_minus_lo_on_change_no_factor_table():
 def test_series_parity():
     # every nonzero coefficient: even exponents for embedded, odd for direct
     b = random_affine_b(4)
-    emb = embedded_npoint_series(b, 2, 6)
-    wy = wangyang_npoint_series(b, 2, 6)
-    assert any(c for _, c in _box_items(emb))
-    assert all(all(e % 2 == 0 for e in k) for k, c in _box_items(emb) if c)
-    assert all(all(e % 2 == 1 for e in k) for k, c in _box_items(wy) if c)
+    emb = embedded_npoint_series(b, 2, 6).region()
+    wy = wangyang_npoint_series(b, 2, 6).region()
+    assert emb and wy
+    assert all(all(e % 2 == 0 for e in k) for k in emb)
+    assert all(all(e % 2 == 1 for e in k) for k in wy)
 
 
 def test_sign_flip_symmetry_of_returned_series():
     # z_var -> -z_var multiplies the coefficient at e by (-1)^e[var]
     b = random_affine_b(4)
-    emb = embedded_npoint_series(b, 2, 6)
-    wy = wangyang_npoint_series(b, 2, 6)
+    emb = embedded_npoint_series(b, 2, 6).region()
+    wy = wangyang_npoint_series(b, 2, 6).region()
     for var in (0, 1):
-        for exps, c in _box_items(emb):
+        for exps, c in emb.items():
             assert c * (-1) ** (exps[var] % 2) == c
-        for exps, c in _box_items(wy):
+        for exps, c in wy.items():
             assert c * (-1) ** (exps[var] % 2) == -c
 
 
@@ -222,13 +209,32 @@ def test_head_parity_assertion_fires():
     bad = npoint.CycleSum(1, -5, (diagonal, diagonal), 1, 1,
                           head_checked=True)
     with pytest.raises(ArithmeticError, match="parity violation"):
-        bad.coefficient((-1,))
+        bad.region()
 
 
-def test_table_symmetry_assertion_fires():
-    bad = Series(2, ((-5, 0), (-5, 0)), {(-1, -3): F(1), (-3, -1): F(2)})
-    with pytest.raises(ArithmeticError, match="symmetric"):
-        npoint_table(bad, 2, 4, index_shift=0)
+GOLDEN_COORDS = str(
+    Path(__file__).resolve().parent / "golden" / "coords.json")
+
+
+def test_table_symmetry_assertion_fires(capsys, monkeypatch):
+    # one more term at (-1, -1) of the KP down table makes the embedded
+    # table asymmetric: both commands that read it write nothing and exit 1
+    # with one error line
+    kp_factors = npoint._kp_factors
+
+    def patched(*args):
+        up, down = kp_factors(*args)
+        return up, {**down, (-1, -1): down.get((-1, -1), 0) + 1}
+
+    monkeypatch.setattr(npoint, "_kp_factors", patched)
+    for argv in (["verify", "--check", "formulas", "--n", "2", "--count", "1"],
+                 ["npoint", "--coords", GOLDEN_COORDS, "--n", "2",
+                  "--max-weight", "7", "--formula", "embedded"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: table not symmetric at (1, 3): (-4, -2) differs\n")
 
 
 def test_first_difference():
@@ -253,18 +259,17 @@ def test_orderings_are_the_distinct_permutations_in_order():
 # -- the literal sign-vector sum, kept as a reference ------------------------
 
 
-def _sign_sum_reference(route, b, n, max_weight, **window_args):
+def _sign_sum_reference(route, b, n, max_weight, hi=None):
     """Either BKP route as the literal sum over cycles and sign vectors.
 
-    ``route`` is ``"embedded"`` or ``"wangyang"``; a ``pos_cap`` in
-    ``window_args`` is taken as the positive cap as it is, where the routes
-    clamp it to ``-lo``.  Each cycle product is clipped to the all-negative
-    box only at the end, which is exact because every variable's exponent is
-    final once both of its factors are in.
+    ``route`` is ``"embedded"`` or ``"wangyang"``, and ``hi`` the positive
+    cap (``-lo`` by default).  Each cycle product is clipped to the
+    all-negative box only at the end, which is exact because every
+    variable's exponent is final once both of its factors are in.
     """
     kp = bkp_to_kp(b)
-    lo, hi = standard_window(max_weight)
-    hi = window_args.get("pos_cap", hi)
+    lo = standard_window(max_weight)[0]
+    hi = -lo if hi is None else hi
     window = ((lo, hi),) * n
     box = {v: (lo, -1) for v in range(n)}
 
@@ -310,44 +315,48 @@ ROUTES = {
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("seed, window_args", [
     (0, {}), (3, {}), (5, {}), (8, {}),
-    # caps above -lo = 9 (18 and 12), which the routes clamp and the
-    # reference takes as they are, and one below it (3): the projection is
-    # exact for every window
-    (2, {"pos_cap": 18}),
-    (1, {"pos_cap": 3}), (1, {"pos_cap": 12}),
+    # caps above -lo = 9 (18 and 12), which build the same factor tables,
+    # and one below it (3): the projection is exact for every window
+    (2, {"hi": 18}),
+    (1, {"hi": 3}), (1, {"hi": 12}),
 ])
-def test_routes_equal_sign_sum_reference(route, seed, window_args):
+def test_routes_equal_sign_sum_reference(route, seed, window_args,
+                                         monkeypatch):
     b = random_affine_b(seed)
+    if window_args:
+        _patch_cap(monkeypatch, window_args["hi"])
     for n in (1, 2, 3):
-        got = ROUTES[route](b, n, 7, **window_args)
-        want = _sign_sum_reference(route, b, n, 7, **window_args)
-        assert got.window == want.window
-        # every point of the reference's negative box, so every term of it
-        assert dict(_box_items(got)) == dict(_box_items(want))
+        got = ROUTES[route](b, n, 7).region()
+        want = _sign_sum_reference(route, b, n, 7, window_args.get("hi"))
+        # every nonzero term of the reference's all-negative box
+        assert got == {exps: c for exps, c in want.coeffs.items() if c}
 
 
 # route -> (series builder, index shift and index step of its table)
 TABLE_ROUTES = {
     "embedded": (embedded_npoint_series, 1, 2),
     "wangyang": (wangyang_npoint_series, 0, 2),
-    "kp": (lambda b, *args, **kw: kp_npoint(bkp_to_kp(b), *args, **kw), 1, 1),
+    "kp": (lambda b, *args: kp_npoint(bkp_to_kp(b), *args), 1, 1),
 }
 
 
 @pytest.mark.parametrize("route", sorted(TABLE_ROUTES))
 @pytest.mark.parametrize("window_args", [
-    {}, {"pos_cap": 3}, {"pos_cap": 0}, {"pos_cap": 1},
+    {}, {"hi": 3}, {"hi": 0}, {"hi": 1},
 ])
-def test_all_keys_pass_matches_per_tail_columns(route, window_args):
+def test_all_keys_pass_matches_per_tail_columns(route, window_args,
+                                                monkeypatch):
     # the one pass over the region npoint_table reads, against the per-tail
     # subset DP run on every tail the table reads; the caps 0 and 1 are too
     # small for some tables, which must not change the pass either
     build, shift, step = TABLE_ROUTES[route]
+    if window_args:
+        _patch_cap(monkeypatch, window_args["hi"])
     for seed in range(20):
         b = random_affine_b(seed)
         for n in range(1, 6):
             w = n + 2
-            series = build(b, n, w, **window_args)
+            series = build(b, n, w)
             cap = w + n * shift
             parity = series._parity
             tails = {tuple(-i - shift for i in key[1:])
@@ -363,18 +372,18 @@ def test_all_keys_pass_matches_per_tail_columns(route, window_args):
                         broken = True
             if broken:
                 with pytest.raises(TableCheckError, match="parity violation"):
-                    series._region(cap)
+                    series.region(cap)
                 continue
-            got = series._region(cap)
+            got = series.region(cap)
             assert {exps: got[exps] for exps in got
                     if exps[1:] in tails} == want, (seed, n)
             # the weight limits drop nothing the region holds
             if n <= 3:
                 unchecked = copy.copy(series)
                 unchecked._head_checked = False
-                whole = unchecked._region(None)
+                whole = unchecked.region()
                 assert {exps: v for exps, v in whole.items()
-                        if -sum(exps) <= cap} == unchecked._region(cap)
+                        if -sum(exps) <= cap} == unchecked.region(cap)
 
 
 def test_head_parity_check_covers_the_table_region(monkeypatch):
