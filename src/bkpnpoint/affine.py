@@ -25,6 +25,9 @@ The coefficient rules of ``A^KP`` and ``A^BKP`` live only in `kp_terms` and
 `bkp_terms`; `npoint` builds its factor tables from them, and
 `check_gs_relation` verifies the series form coefficientwise on two term
 tables ``{(x, y): c}``.
+
+`odd_tuples` lists the keys of an n-point table, for the closed formulas
+and the Fock-space oracle alike.
 """
 
 from __future__ import annotations
@@ -175,6 +178,29 @@ def check_gs_relation(b: AffineB, depth: int) -> bool:
         rhs[y + 1, x] -= c
     return all(lhs[e] == rhs[e] for e in lhs.keys() | rhs.keys()
                if -depth <= min(e) and max(e) <= 0)
+
+
+# -- table keys -----------------------------------------------------------
+
+
+def odd_tuples(n: int, max_weight: int, step: int = 2):
+    """Ascending tuples of ``n`` positive indices with sum ``<= max_weight``.
+
+    ``step=2`` (default) walks odd indices only, ``step=1`` all indices.
+    """
+
+    def rec(prefix, lo, rem):
+        if len(prefix) == n:
+            yield prefix
+            return
+        needed_after = n - len(prefix) - 1
+        idx = lo
+        while idx + needed_after * idx <= rem:
+            yield from rec(prefix + (idx,), idx, rem - idx)
+            idx += step
+
+    if n >= 1:
+        yield from rec((), 1, max_weight)
 
 
 # -- coordinate files ------------------------------------------------------

@@ -11,9 +11,9 @@ files (JSON with sorted keys, rationals rendered as "p/q" strings).
 
 Each command or check imports the layers it calls when it runs, so a
 process loads only what its subcommand needs (``convert`` never loads the
-cycle sums, the Fock space or the lemma), and every call reads the
-defining module's binding, which is what a patched or traced binding
-replaces.
+cycle sums, the Fock space or the lemma; ``npoint`` loads only the routes
+its ``--formula`` names), and every call reads the defining module's
+binding, which is what a patched or traced binding replaces.
 """
 
 import argparse
@@ -127,9 +127,6 @@ def _table_records(table: dict) -> list:
 
 def cmd_npoint(args) -> int:
     from .affine import load_affine_b
-    from .fock import oracle_npoint_table
-    from .npoint import (embedded_npoint_series, first_difference,
-                         npoint_table, wangyang_npoint_series)
 
     if args.n < 1:
         raise ValueError("n must be >= 1")
@@ -138,6 +135,10 @@ def cmd_npoint(args) -> int:
     b = load_affine_b(args.coords)
     n, weight = args.n, args.max_weight
     tables = {}
+    # each route's module loads only when that route runs
+    if args.formula != "oracle":
+        from .npoint import (embedded_npoint_series, npoint_table,
+                             wangyang_npoint_series)
     if args.formula in ("wangyang", "all"):
         series = wangyang_npoint_series(b, n, weight)
         tables["wangyang"] = npoint_table(series, n, weight, index_shift=0)
@@ -145,8 +146,14 @@ def cmd_npoint(args) -> int:
         series = embedded_npoint_series(b, n, weight)
         tables["embedded"] = npoint_table(series, n, weight, index_shift=1)
     if args.formula in ("oracle", "all"):
+        from .fock import oracle_npoint_table
+
         tables["oracle"] = oracle_npoint_table(b, n, weight)
-    first = first_difference(tables)
+    first = None
+    if len(tables) > 1:
+        from .npoint import first_difference
+
+        first = first_difference(tables)
     if first is not None:
         key, *values = first
         first = {"indices": list(key),

@@ -86,6 +86,19 @@ and ``H^B_k |state>`` (``H_k |state>``) is computed once per
 multiset with multiplicities ``m_j`` is the monomial coefficient
 ``v / (den * unit^d * prod m_j!)``.
 
+With ``max_len`` the walk stops once a prefix has ``max_len`` indices, and
+a state's ``need`` (the weight of ``H`` it takes to the vacuum) bounds the
+rest of the chain.  Every ``H_k`` lowers ``need`` by exactly ``k`` (by the
+energy rule above; on charged states it keeps the charge), so a state
+reaches the vacuum only by chains of weight exactly ``need``.  The chain
+descends, so when index ``idx`` is applied with ``r = max_len -
+len(prefix) - 1`` indices still to come, each of them is ``<= idx`` and
+together they weigh at most ``min(rem - idx, r * idx)``, ``rem`` the weight
+left before ``idx``.  A new state with a larger ``need`` adds to no
+monomial of at most ``max_len`` indices and is dropped, so every monomial
+the cut walk keeps has its full value.  `poly_log` with ``max_len = n``
+reads no longer monomial (below), so an n-point table is exact.
+
 ``poly_log(tau, W, max_len=n)`` forms only the monomials of ``log tau`` with
 at most ``n`` indices, which is all an n-point table reads.  The cut is
 exact: ``log tau = sum_j (-1)^(j+1) u^j / j`` with ``u = tau - 1``, the
@@ -101,7 +114,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 
-from .affine import AffineB, AffineKP, Frozen, bkp_to_kp
+from .affine import AffineB, AffineKP, Frozen, bkp_to_kp, odd_tuples
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -391,7 +404,7 @@ def psi_generator_embedded(b: AffineB):
 
 
 def tau_table(start: dict, vacuum, image_of, unit: int, need,
-              max_weight: int, odd_only: bool):
+              max_weight: int, odd_only: bool, max_len: int | None = None):
     """Coefficients of ``<0| exp(sum t_k H_k) |start>`` by time monomial.
 
     ``start`` maps states to ``Fraction``; ``image_of(state, k)`` gives
@@ -402,9 +415,12 @@ def tau_table(start: dict, vacuum, image_of, unit: int, need,
     monomials of weight ``<= max_weight`` (odd indices only when
     ``odd_only``).  The Hamiltonians commute, so each monomial is read off
     one descending application chain; states that can no longer reach the
-    vacuum within the remaining weight are pruned.  The chain runs on
-    integers, and each ``(state, k)`` image is computed once and kept as
-    ``(new state, need, integer coefficient)``.
+    vacuum within the remaining weight are pruned.  With ``max_len`` only
+    the monomials of at most ``max_len`` indices are walked, and a state is
+    also pruned when the indices still to come cannot reach the vacuum
+    from it (see the module docstring).  The chain runs on integers, and
+    each ``(state, k)`` image is computed once and kept as ``(new state,
+    need, integer coefficient)``.
     """
     start = {s: c for s, c in start.items() if need(s) <= max_weight}
     den = lcm(*(c.denominator for c in start.values()))
@@ -432,12 +448,17 @@ def tau_table(start: dict, vacuum, image_of, unit: int, need,
             for idx in set(prefix):
                 mult *= factorial(prefix.count(idx))
             out[key] = Fraction(value, scale * mult)
+        if len(prefix) == max_len:
+            return
         rem = max_weight - sum(prefix)
         top = min(prefix[-1] if prefix else max_weight, rem)
         for idx in range(top, 0, -1):
             if odd_only and idx % 2 == 0:
                 continue
             budget = rem - idx
+            if max_len is not None:
+                # the indices still to come after idx are each <= idx
+                budget = min(budget, (max_len - len(prefix) - 1) * idx)
             nxt: dict = {}
             for state, c in v.items():
                 for new, new_need, k in step(state, idx):
@@ -451,11 +472,14 @@ def tau_table(start: dict, vacuum, image_of, unit: int, need,
     return out
 
 
-def tau_coefficients_bkp(b: AffineB, max_weight: int):
+def tau_coefficients_bkp(b: AffineB, max_weight: int,
+                         max_len: int | None = None):
     """BKP tau in odd times, exact for monomial weights ``<= max_weight``,
-    on neutral states."""
+    on neutral states; with ``max_len``, only the monomials of at most
+    ``max_len`` indices."""
     vec = exp_neutral_vacuum(b, max_weight)
-    return tau_table(vec, (), _h_phi_image, 2, sum, max_weight, odd_only=True)
+    return tau_table(vec, (), _h_phi_image, 2, sum, max_weight, odd_only=True,
+                     max_len=max_len)
 
 
 # -- log and connected functions --------------------------------------------
@@ -525,31 +549,14 @@ def connected_table_from_log(
     return out
 
 
-def odd_tuples(n: int, max_weight: int, step: int = 2):
-    """Ascending tuples of ``n`` positive indices with sum ``<= max_weight``.
-
-    ``step=2`` (default) walks odd indices only, ``step=1`` all indices.
-    """
-
-    def rec(prefix, lo, rem):
-        if len(prefix) == n:
-            yield prefix
-            return
-        needed_after = n - len(prefix) - 1
-        idx = lo
-        while idx + needed_after * idx <= rem:
-            yield from rec(prefix + (idx,), idx, rem - idx)
-            idx += step
-
-    if n >= 1:
-        yield from rec((), 1, max_weight)
-
-
 def oracle_npoint_table(b: AffineB, n: int, max_weight: int):
-    """Connected n-point table straight from the Fock-space evaluation."""
+    """Connected n-point table straight from the Fock-space evaluation.
+
+    The walk and the log form only the monomials of at most ``n`` indices,
+    the only ones the table reads (see the module docstring)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tau = tau_coefficients_bkp(b, max_weight)
+    tau = tau_coefficients_bkp(b, max_weight, n)
     logf = poly_log(tau, max_weight, n)
     return connected_table_from_log(logf, n, max_weight)
 

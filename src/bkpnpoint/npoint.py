@@ -150,9 +150,9 @@ from functools import cache
 from itertools import product
 from math import comb, lcm
 
-from .affine import AffineB, AffineKP, Frozen, bkp_terms, bkp_to_kp, kp_terms
+from .affine import (AffineB, AffineKP, Frozen, bkp_terms, bkp_to_kp, kp_terms,
+                     odd_tuples)
 from .chain import contract
-from .fock import odd_tuples
 
 ZERO = Fraction(0)
 

@@ -459,6 +459,15 @@ def test_each_command_loads_only_its_layers():
     loaded = _modules_loaded_by(["npoint", "--coords", GOLDEN_COORDS, "--n",
                                  "2", "--max-weight", "9", "--formula", "all"])
     assert not loaded & layers("lemma", "sampling", "series"), loaded
+    loaded = _modules_loaded_by(["npoint", "--coords", GOLDEN_COORDS, "--n",
+                                 "2", "--max-weight", "9", "--formula",
+                                 "oracle"])
+    assert not loaded & layers("npoint", "chain", "lemma", "sampling",
+                               "series"), loaded
+    loaded = _modules_loaded_by(["npoint", "--coords", GOLDEN_COORDS, "--n",
+                                 "2", "--max-weight", "9", "--formula",
+                                 "wangyang"])
+    assert not loaded & layers("fock", "lemma", "sampling", "series"), loaded
     loaded = _modules_loaded_by(["verify", "--check", "lemma", "--k", "2",
                                  "--count", "1"])
     assert not loaded & layers("fock", "npoint", "series"), loaded
@@ -467,4 +476,4 @@ def test_each_command_loads_only_its_layers():
                                "series"), loaded
     loaded = _modules_loaded_by(["verify", "--check", "formulas", "--n", "2",
                                  "--count", "1"])
-    assert not loaded & layers("lemma", "series"), loaded
+    assert not loaded & layers("fock", "lemma", "series"), loaded

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkpnpoint import fock
-from bkpnpoint.affine import AffineKP, bkp_to_kp, validate_b
+from bkpnpoint.affine import AffineKP, bkp_to_kp, odd_tuples, validate_b
 from bkpnpoint.fock import (
     VACUUM,
     FockVector,
@@ -29,7 +29,6 @@ from bkpnpoint.fock import (
     exp_iteration_limit,
     exp_neutral_vacuum,
     neutral_generator,
-    odd_tuples,
     oracle_npoint_table,
     poly_log,
     poly_mul,
@@ -208,6 +207,35 @@ def test_tau_at_a_higher_weight_restricts_to_tau():
             higher = tau_coefficients_bkp(b, w + 4)
             assert tau_coefficients_bkp(b, w) == {
                 k: v for k, v in higher.items() if sum(k) <= w}, w
+
+
+@pytest.mark.parametrize("b", [random_affine_b(seed) for seed in range(20)] + [
+    random_affine_b(seed, max_index=6, density=0.6) for seed in range(5)])
+def test_length_cut_walk_restricts_the_full_table(b):
+    # the walk cut at max_len indices keeps exactly the monomials of the
+    # full walk with at most max_len indices, each with its full value
+    for w in (9, 13, 21):
+        vec = exp_neutral_vacuum(b, w)
+        full = tau_table(vec, (), _h_phi_image, 2, sum, w, True)
+        for m in range(1, 6):
+            got = tau_table(vec, (), _h_phi_image, 2, sum, w, True, max_len=m)
+            assert got == {k: v for k, v in full.items() if len(k) <= m}, (
+                w, m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_length_cut_walk_on_charged_states(seed):
+    # the same cut by the charged need (E2 - charge) / 2, in all times
+    b = random_affine_b(seed)
+    vec = exp_bilinear_vacuum(psi_generator_kp(bkp_to_kp(b)), 18).coeffs
+    for odd_only in (True, False):
+        full = tau_table(vec, VACUUM, _h_kp_image, 1, _charged_need, 9,
+                         odd_only)
+        for m in range(1, 5):
+            got = tau_table(vec, VACUUM, _h_kp_image, 1, _charged_need, 9,
+                            odd_only, max_len=m)
+            assert got == {k: v for k, v in full.items() if len(k) <= m}, (
+                odd_only, m)
 
 
 def test_exp_rejects_non_raising_operator():

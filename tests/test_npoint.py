@@ -15,12 +15,12 @@ from bkpnpoint.affine import (
     AffineKP,
     bkp_terms,
     bkp_to_kp,
+    odd_tuples,
     validate_b,
 )
 from bkpnpoint.cli import main
 from bkpnpoint.fock import (
     connected_table_from_log,
-    odd_tuples,
     oracle_npoint_table,
     poly_log,
 )
