@@ -80,10 +80,6 @@ class AffineB(Frozen):
     def __init__(self, entries=None):
         super().__init__({} if entries is None else entries)
 
-    @property
-    def max_index(self) -> int:
-        return max((max(k) for k in self.entries), default=0)
-
 
 class AffineKP(Frozen):
     """KP affine coordinates ``a_{m,n}``."""

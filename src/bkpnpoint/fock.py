@@ -84,20 +84,23 @@ and ``H^B_k |state>`` (``H_k |state>``) is computed once per
 (of 1).  After ``d`` applications the integers carry the factor
 ``den * unit^d``, so a vacuum coefficient ``v`` reached by an index
 multiset with multiplicities ``m_j`` is the monomial coefficient
-``v / (den * unit^d * prod m_j!)``.
+``v / (den * unit^d * prod m_j!)``.  The indices of a chain never
+increase, so the reversed chain is the monomial's ascending key.
 
-With ``max_len`` the walk stops once a prefix has ``max_len`` indices, and
-a state's ``need`` (the weight of ``H`` it takes to the vacuum) bounds the
-rest of the chain.  Every ``H_k`` lowers ``need`` by exactly ``k`` (by the
-energy rule above; on charged states it keeps the charge), so a state
-reaches the vacuum only by chains of weight exactly ``need``.  The chain
-descends, so when index ``idx`` is applied with ``r = max_len -
-len(prefix) - 1`` indices still to come, each of them is ``<= idx`` and
-together they weigh at most ``min(rem - idx, r * idx)``, ``rem`` the weight
-left before ``idx``.  A new state with a larger ``need`` adds to no
-monomial of at most ``max_len`` indices and is dropped, so every monomial
-the cut walk keeps has its full value.  `poly_log` with ``max_len = n``
-reads no longer monomial (below), so an n-point table is exact.
+The walk prunes by one rule.  A state's ``need``, the weight of ``H`` it
+takes to the vacuum, falls by exactly ``k`` under every ``H_k`` (by the
+energy rule above; on charged states ``H_k`` keeps the charge), and no
+state has a need below 0 (a charged state has ``E2 >= charge^2``).  So the
+walk calls ``need`` on the start states only, gives every state of an
+image its source's need less the index, and keeps no other table of
+states.  It skips a ``(state, idx)`` pair, before forming its image,
+unless the new need lies in ``[0, budget]``: ``budget`` is the weight left
+after ``idx`` and, with ``max_len``, at most ``r * idx``, as the ``r =
+max_len - len(prefix) - 1`` indices still to come are each ``<= idx`` (the
+walk stops at ``max_len`` indices).  A skipped image is empty or reaches
+no kept monomial, so each kept monomial has its full value.  `poly_log`
+with ``max_len = n`` reads no longer monomial (below), so an n-point table
+is exact.
 
 ``poly_log(tau, W, max_len=n)`` forms only the monomials of ``log tau`` with
 at most ``n`` indices, which is all an n-point table reads.  The cut is
@@ -105,14 +108,17 @@ exact: ``log tau = sum_j (-1)^(j+1) u^j / j`` with ``u = tau - 1``, the
 number of indices adds under multiplication, and ``u`` has no term without
 indices.  So a monomial of at most ``n`` indices in ``u^j`` needs ``j <= n``
 and is a product of ``u``-terms of at most ``n`` indices each, and the
-powers can drop every longer monomial as they are formed.
+powers can drop every longer monomial as they are formed.  Like ``exp``,
+the log runs on integers: the powers ``den^j u^j`` (``den`` the common
+denominator of ``u``) are integral and summed over one denominator, with
+one ``Fraction`` per monomial at the end.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from math import factorial, inf, isqrt, lcm
 
 from .affine import AffineB, AffineKP, Frozen, bkp_to_kp, odd_tuples
 
@@ -414,28 +420,24 @@ def tau_table(start: dict, vacuum, image_of, unit: int, need,
     ones).  Returns ``dict[ascending index tuple] -> Fraction`` for all
     monomials of weight ``<= max_weight`` (odd indices only when
     ``odd_only``).  The Hamiltonians commute, so each monomial is read off
-    one descending application chain; states that can no longer reach the
-    vacuum within the remaining weight are pruned.  With ``max_len`` only
-    the monomials of at most ``max_len`` indices are walked, and a state is
-    also pruned when the indices still to come cannot reach the vacuum
-    from it (see the module docstring).  The chain runs on integers, and
-    each ``(state, k)`` image is computed once and kept as ``(new state,
-    need, integer coefficient)``.
+    one descending application chain.  ``need`` is called on the start
+    states only, and a ``(state, k)`` pair is skipped unless its image can
+    reach a kept monomial (see the module docstring).  The chain runs on
+    integers, and each ``(state, k)`` image is computed once.
     """
-    start = {s: c for s, c in start.items() if need(s) <= max_weight}
+    needs = {s: need(s) for s in start}
+    start = {s: c for s, c in start.items() if needs[s] <= max_weight}
     den = lcm(*(c.denominator for c in start.values()))
-    interned: dict = {}
     moves: dict = {}
 
     def step(state, idx: int):
-        """``H_idx |state>`` as ``((new, need, int), ...)``, computed once."""
+        """``H_idx |state>`` as ``((new, int), ...)``, computed once."""
         image = moves.get((state, idx))
         if image is None:
-            image = []
-            for new, c in image_of(state, idx).items():
-                new = interned.setdefault(new, new)
-                image.append((new, need(new), c))
-            image = moves[(state, idx)] = tuple(image)
+            image = moves[(state, idx)] = tuple(image_of(state, idx).items())
+            left = needs[state] - idx
+            for new, _ in image:
+                needs[new] = left
         return image
 
     out: dict = {}
@@ -443,11 +445,10 @@ def tau_table(start: dict, vacuum, image_of, unit: int, need,
     def visit(v: dict, prefix: tuple, scale: int):
         value = v.get(vacuum, 0)
         if value != 0:
-            key = tuple(sorted(prefix))
             mult = 1
             for idx in set(prefix):
                 mult *= factorial(prefix.count(idx))
-            out[key] = Fraction(value, scale * mult)
+            out[prefix[::-1]] = Fraction(value, scale * mult)
         if len(prefix) == max_len:
             return
         rem = max_weight - sum(prefix)
@@ -461,8 +462,8 @@ def tau_table(start: dict, vacuum, image_of, unit: int, need,
                 budget = min(budget, (max_len - len(prefix) - 1) * idx)
             nxt: dict = {}
             for state, c in v.items():
-                for new, new_need, k in step(state, idx):
-                    if new_need <= budget:
+                if 0 <= needs[state] - idx <= budget:
+                    for new, k in step(state, idx):
                         nxt[new] = nxt.get(new, 0) + c * k
             nxt = {s: c for s, c in nxt.items() if c != 0}
             if nxt:
@@ -489,13 +490,14 @@ def poly_mul(p: dict, q: dict, max_weight: int,
              max_len: int | None = None) -> dict:
     """``p * q`` without the monomials of weight above ``max_weight`` or
     with more than ``max_len`` indices."""
+    len_cap = inf if max_len is None else max_len
+    q = [(k, sum(k), len(k), v) for k, v in q.items()]
     out: dict = {}
     for k1, v1 in p.items():
-        w1 = sum(k1)
-        for k2, v2 in q.items():
-            if w1 + sum(k2) > max_weight:
-                continue
-            if max_len is not None and len(k1) + len(k2) > max_len:
+        room = max_weight - sum(k1)
+        len_room = len_cap - len(k1)
+        for k2, w2, n2, v2 in q:
+            if w2 > room or n2 > len_room:
                 continue
             key = tuple(sorted(k1 + k2))
             prev = out.get(key)
@@ -516,18 +518,19 @@ def poly_log(tau: dict, max_weight: int, max_len: int | None = None) -> dict:
         k: v for k, v in tau.items()
         if k and sum(k) <= max_weight and (max_len is None or len(k) <= max_len)
     }
-    out: dict = {}
-    power = {(): ONE}
-    sign = 1
+    den = lcm(*(v.denominator for v in u.values()))
+    u = {k: v.numerator * (den // v.denominator) for k, v in u.items()}
+    total = lcm(*range(1, top + 1)) * den ** top
+    out: dict = {}  # numerators over total
+    power = {(): 1}  # den^j u^j
     for j in range(1, top + 1):
         power = poly_mul(power, u, max_weight, max_len)
         if not power:
             break
+        f = (-1) ** (j + 1) * (total // (j * den ** j))
         for k, v in power.items():
-            prev = out.get(k, ZERO)
-            out[k] = prev + Fraction(sign, j) * v
-        sign = -sign
-    return {k: v for k, v in out.items() if v != 0}
+            out[k] = out.get(k, 0) + f * v
+    return {k: Fraction(v, total) for k, v in out.items() if v != 0}
 
 
 def connected_table_from_log(

@@ -18,6 +18,8 @@
   the Hamiltonian images are held to.
 * The KP oracle: `tau_coefficients_kp`, the KP tau-function's coefficients
   from the Fock space, which the KP route and the log are held to.
+* The log on `Fraction`s: `fraction_log`, every power of ``tau - 1`` a
+  `Fraction` dict, which the integer powers of `fock.poly_log` are held to.
 * The BKP oracle on charged fermions: `tau_coefficients_bkp_charged`, the
   BKP tau-function built from `phi_phi_generator` (each ``phi`` a ``psi``
   plus a ``psi*``) under an energy cutoff with a margin, and read with the
@@ -36,6 +38,7 @@ from bkpnpoint.fock import (
     _count_below,
     _h_kp_image,
     exp_bilinear_vacuum,
+    poly_mul,
     psi_generator_kp,
     tau_table,
     two_mode,
@@ -388,6 +391,31 @@ def tau_coefficients_kp(kp, max_weight: int) -> dict:
     vec = exp_bilinear_vacuum(psi_generator_kp(kp), 2 * max_weight)
     return tau_table(vec.coeffs, VACUUM, _h_kp_image, 1, _charged_need,
                      max_weight, odd_only=False)
+
+
+def fraction_log(tau: dict, max_weight: int,
+                 max_len: int | None = None) -> dict:
+    """``log tau = sum_j (-1)^(j+1) u^j / j``, ``u = tau - 1``, cut at
+    ``max_weight``, with every power a ``Fraction`` dict; with ``max_len``,
+    only the monomials of at most ``max_len`` indices."""
+    if tau.get((), Fraction(0)) != 1:
+        raise ValueError("tau must have constant term 1")
+    top = max_weight if max_len is None else min(max_weight, max_len)
+    u = {
+        k: v for k, v in tau.items()
+        if k and sum(k) <= max_weight and (max_len is None or len(k) <= max_len)
+    }
+    out: dict = {}
+    power = {(): Fraction(1)}
+    sign = 1
+    for j in range(1, top + 1):
+        power = poly_mul(power, u, max_weight, max_len)
+        if not power:
+            break
+        for k, v in power.items():
+            out[k] = out.get(k, Fraction(0)) + Fraction(sign, j) * v
+        sign = -sign
+    return {k: v for k, v in out.items() if v != 0}
 
 
 # -- the BKP oracle on charged fermions ----------------------------------------

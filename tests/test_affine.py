@@ -81,7 +81,7 @@ def test_bkp_to_kp_quadratic_term():
 def _dense_bkp_to_kp(b):
     """The conversion formula evaluated over the whole index box."""
     out = {}
-    top = b.max_index
+    top = max((max(k) for k in b.entries), default=0)
     for m in range(0, top):
         for n in range(0, top + 1):
             val = 2 * (-1) ** (m + 1) * (

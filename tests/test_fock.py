@@ -41,6 +41,7 @@ from bkpnpoint.fock import (
 from bkpnpoint.sampling import random_affine_b
 from reference import (
     apply_mode_ops,
+    fraction_log,
     h_b_image_charged,
     needed_cutoff2,
     phi_phi_generator,
@@ -794,3 +795,77 @@ def test_index_cutoff_drops_only_terms_above_the_weight():
         for n in (1, 2, 3):
             assert oracle_npoint_table(wide, n, w) == oracle_npoint_table(
                 b, n, w), (seed, n)
+
+
+# -- the walk's need rule and the integer log --------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_every_image_term_lowers_the_need_by_the_index(seed):
+    # tau_table gives each new state the need of its source less the index
+    # and skips a pair whose new need is below 0 or above its budget, which
+    # is exact only when every term of every image has that need
+    b = random_affine_b(seed)
+    w = 13
+    families = (
+        (exp_neutral_vacuum(b, w), _h_phi_image, sum),
+        (exp_bilinear_vacuum(psi_generator_embedded(b), 2 * w).coeffs,
+         _h_kp_image, _charged_need),
+        (exp_bilinear_vacuum(phi_phi_generator(b), needed_cutoff2(w)).coeffs,
+         h_b_image_charged, _charged_need),
+    )
+    for vec, image_of, need in families:
+        for state in vec:
+            for idx in range(1, w + 1, 2):
+                for new in image_of(state, idx):
+                    assert need(new) == need(state) - idx >= 0, (
+                        image_of.__name__, state, idx, new)
+
+
+def test_tau_table_forms_only_the_images_it_keeps():
+    # the need rule decides on a (state, index) pair before its image is
+    # formed: of the 583 pairs this walk meets, 219 can reach a kept state
+    b = random_affine_b(0, max_index=6, density=0.6)
+    calls = []
+
+    def counted(state, idx):
+        calls.append((state, idx))
+        return _h_phi_image(state, idx)
+
+    vec = exp_neutral_vacuum(b, 21)
+    got = tau_table(vec, (), counted, 2, sum, 21, True, max_len=3)
+    assert got == tau_coefficients_bkp(b, 21, 3)
+    assert len(calls) == len(set(calls)) <= 219
+
+
+def _random_tau(rng, w):
+    """A random table with constant term 1 and odd-index monomials of
+    weight ``<= w + 2``, some above the cut."""
+    tau = {(): F(1)}
+    for _ in range(rng.randint(0, 25)):
+        key = tuple(sorted(rng.choice(range(1, w + 1, 2))
+                           for _ in range(rng.randint(1, 5))))
+        if sum(key) <= w + 2:
+            tau[key] = F(rng.randint(-30, 30), rng.randint(1, 40))
+    return tau
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_log_equals_the_fraction_log_on_random_tables(seed):
+    rng = Random(seed)
+    for w in (7, 13):
+        tau = _random_tau(rng, w)
+        for max_len in (None, 1, 2, 3, 5):
+            assert poly_log(tau, w, max_len) == fraction_log(
+                tau, w, max_len), (w, max_len)
+
+
+@pytest.mark.parametrize("b", [
+    _on_support(ORACLE_SUPPORTS[0], 7),
+    _on_support(ORACLE_SUPPORTS[1], 8),
+    random_affine_b(0, max_index=6, density=0.6),
+], ids=["oracle-support-0", "oracle-support-1", "dense"])
+def test_integer_log_equals_the_fraction_log_on_oracle_instances(b):
+    for n in range(1, 9):
+        tau = tau_coefficients_bkp(b, 21, n)
+        assert poly_log(tau, 21, n) == fraction_log(tau, 21, n), n

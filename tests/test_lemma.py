@@ -243,13 +243,14 @@ def test_instantiate_from_affine_frozen():
 
 def _dense_instantiate(b):
     # the max_index^2 loop the sparse conversion replaced
+    top = max((max(k) for k in b.entries), default=0)
     s_entries = {}
     t_entries = {}
-    for m in range(1, b.max_index + 1):
+    for m in range(1, top + 1):
         value = b.entries.get((m, 0), 0)
         if value != 0:
             t_entries[m] = value
-        for n in range(m + 1, b.max_index + 1):
+        for n in range(m + 1, top + 1):
             value = b.entries.get((m, n), 0)
             if value != 0:
                 s_entries[m, n] = 2 * value

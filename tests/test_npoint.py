@@ -167,13 +167,14 @@ def test_caps_from_minus_lo_on_change_no_factor_table():
         b = random_affine_b(seed, max_index=1 + seed % 7)
         kp = bkp_to_kp(b)
         kp_degree = max((max(m, k) + 1 for m, k in kp.entries), default=1)
+        b_degree = max((max(k) for k in b.entries), default=1)
         for n in range(1, 7):
             for w in sorted({n, n + 1, 9, 2 * n + 5, 21}):
                 lo, hi = standard_window(w)
                 assert hi == -lo
                 for factors, point, degree in (
                         (npoint._kp_factors, kp, kp_degree),
-                        (npoint._bkp_factors, b, max(b.max_index, 1))):
+                        (npoint._bkp_factors, b, b_degree)):
                     old = w + n * (degree + 2)
                     want = factors(point, n, lo, hi)
                     for cap in (hi + 1, 2 * hi, old, 2 * old):
